@@ -2,10 +2,8 @@ import os
 
 from setuptools import Extension, setup
 
-# The compiled kernels build from the committed C file, so no Cython is needed.
-# After editing _fastkern.pyx, regenerate that file with
-#     cython src/jumplines/_fastkern.pyx
-# (the compiler directives sit in the .pyx header).  The extension is optional:
+# The compiled kernels are the hand-written C file src/jumplines/_fastkern.c,
+# built with plain setuptools and a C compiler.  The extension is optional:
 # without a working compiler the build warns and the pure-Python twins take over.
 ext_modules = []
 if os.environ.get("JUMPLINES_NO_EXT") != "1":

@@ -118,8 +118,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _need_prime_field(cfg: PointConfig, command: str) -> None:
+    if cfg.field.kind != "fp":
+        raise UsageError(f"{command} scans every point of the plane and needs a prime field (fp:<p>)")
+
+
 def cmd_jump(args) -> int:
     cfg = _load_config(args)
+    _need_prime_field(cfg, "jump")
     rep = jumping_scan(cfg, threads=args.threads)
     _write(args.out, rep.to_json() if args.format == "json" else rep.to_csv())
     return 0 if rep.all_verdicts_true() else 3
@@ -134,6 +140,7 @@ def cmd_monoidal(args) -> int:
 
 def cmd_gamma(args) -> int:
     cfg = _load_config(args)
+    _need_prime_field(cfg, "gamma")
     pts = gamma_points(cfg)
     f = cfg.field
     payload = {

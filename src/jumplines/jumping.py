@@ -391,22 +391,27 @@ def lift_eliminant_roots(cfg: PointConfig, res: Pencil4Result) -> list:
 
     Each root t gives the projection (1 : t) of a singular point of a pencil
     member; the fiber is recovered from the gcd of the two minors restricted
-    to the line x0 = 1, x1 = t.  Returns the lifted points, sorted.
+    to the line x0 = 1, x1 = t.  M01 and M02 also vanish where the first
+    gradient row does (the R4 factor), so a point is kept only where the
+    third minor M12 vanishes too.  Returns the lifted points, sorted.
     """
     field = cfg.field
     if field.kind != "fp":
         raise ValueError("root lifting needs a prime field")
     p = field.p
     m01, m02 = res.minors
+    g = [[hf_partial(field, f, i) for f in res.pencil_basis] for i in (1, 2)]
+    m12 = _two_by_two(field, g[0], g[1])
     out = set()
     for tval in range(p):
         if up_eval(field, res.r12, field.of(tval)) != 0:
             continue
         a = _restrict_to_vertical_line(field, m01, field.of(tval))
         b = _restrict_to_vertical_line(field, m02, field.of(tval))
+        c = _restrict_to_vertical_line(field, m12, field.of(tval))
         gcd = up_gcd(field, a, b)
         for cval in range(p):
-            if up_eval(field, gcd, field.of(cval)) == 0:
+            if up_eval(field, gcd, field.of(cval)) == 0 and up_eval(field, c, field.of(cval)) == 0:
                 pt = _apply_transform(field, res.transform_inv, (field.one, field.of(tval), field.of(cval)))
                 out.add(pt)
     return sorted(out)

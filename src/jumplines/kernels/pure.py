@@ -1,6 +1,6 @@
 """Pure-Python twins of the compiled scan kernels.
 
-Same conventions as the Cython module `jumplines._fastkern`: flat row-major
+Same conventions as the compiled module `jumplines._fastkern`: flat row-major
 int lists, entries reduced mod p, deterministic first-nonzero pivoting.
 Used automatically when the extension is not built (or when JUMPLINES_PURE
 is set); the two backends must agree bit for bit.
@@ -11,58 +11,78 @@ from __future__ import annotations
 BACKEND = "pure"
 
 
-def rank_mod_p(flat, rows: int, cols: int, p: int) -> int:
-    a = [list(flat[i * cols : (i + 1) * cols]) for i in range(rows)]
-    r = 0
-    for c in range(cols):
+def _echelon(a, rows: int, width: int, pcols: int, p: int, reduced: bool = False) -> list:
+    """Row-reduce the row lists a (residues mod p) in place.
+
+    Pivots on the first pcols columns in order and applies every row
+    operation to the whole width; only the rows below each pivot are cleared,
+    unless `reduced`, which scales pivot rows to 1 and clears above as well
+    (reduced row echelon form).  Returns the pivot columns.
+    """
+    piv = []
+    for c in range(pcols):
+        r = len(piv)
         if r == rows:
             break
-        sel = -1
-        for i in range(r, rows):
-            if a[i][c] % p:
-                sel = i
-                break
-        if sel < 0:
+        sel = r
+        while sel < rows and not a[sel][c]:
+            sel += 1
+        if sel == rows:
             continue
         a[r], a[sel] = a[sel], a[r]
-        inv = pow(a[r][c] % p, p - 2, p)
-        arow = a[r]
-        for i in range(r + 1, rows):
+        prow = a[r]
+        inv = pow(prow[c], p - 2, p)
+        if reduced:
+            prow = a[r] = [v * inv % p for v in prow]
+            inv = 1
+        for i in range(0 if reduced else r + 1, rows):
             f = a[i][c] * inv % p
-            if f:
+            if f and i != r:
                 ai = a[i]
-                for j in range(c, cols):
-                    ai[j] = (ai[j] - f * arow[j]) % p
-        r += 1
-    return r
+                for j in range(c, width):
+                    ai[j] = (ai[j] - f * prow[j]) % p
+        piv.append(c)
+    return piv
 
 
-def _pencil_nullity(b0, b1, rows: int, cols: int, p: int, d: int) -> int:
-    """Nullity of the map sending a degree-d polynomial vector v(s,t) to the
-    coefficient vector of (s*B0 + t*B1) v."""
-    bigr = rows * (d + 2)
-    bigc = cols * (d + 1)
-    m = [0] * (bigr * bigc)
-    for r in range(rows):
-        for e in range(cols):
-            v0 = b0[r * cols + e] % p
-            v1 = b1[r * cols + e] % p
-            for k in range(d + 1):
-                col = e * (d + 1) + k
-                if v0:
-                    m[(r * (d + 2) + k) * bigc + col] = v0
-                if v1:
-                    row = r * (d + 2) + k + 1
-                    m[row * bigc + col] = (m[row * bigc + col] + v1) % p
-    return bigc - rank_mod_p(m, bigr, bigc, p)
+def rank_mod_p(flat, rows: int, cols: int, p: int) -> int:
+    a = [[v % p for v in flat[i * cols : (i + 1) * cols]] for i in range(rows)]
+    return len(_echelon(a, rows, cols, cols, p))
+
+
+def _staircase_level(m0, m1, rows: int, cols: int, p: int):
+    """One step of the column staircase of the pencil s*M0 + t*M1 (row lists).
+
+    Returns (nu, mu, next0, next1): nu = dim ker M0, mu = rank of M1 on that
+    kernel, and the (rows - mu) x rank(M0) pencil whose column indices are
+    one less than the remaining ones of this pencil.
+    """
+    r0 = [row[:] for row in m0]
+    piv = _echelon(r0, rows, cols, cols, p, reduced=True)
+    rho = len(piv)
+    free = [j for j in range(cols) if j not in piv]
+    nu = len(free)
+    # [M1*K | M0 on pivot columns | M1 on pivot columns], K the kernel basis
+    # read off the RREF: column f of K is e_f - sum_t r0[t][f] e_piv[t]
+    aug = []
+    for i in range(rows):
+        row1 = m1[i]
+        x = [(row1[f] - sum(r0[t][f] * row1[piv[t]] for t in range(rho))) % p for f in free]
+        aug.append(x + [m0[i][j] for j in piv] + [row1[j] for j in piv])
+    mu = len(_echelon(aug, rows, nu + 2 * rho, nu, p))
+    rest = aug[mu:]
+    return nu, mu, [row[nu : nu + rho] for row in rest], [row[nu + rho :] for row in rest]
 
 
 def pencil_kernel_degrees(b0, b1, rows: int, cols: int, p: int, want: int = 2):
     """First `want` column minimal indices of the pencil s*B0 + t*B1.
 
-    Scans d = 0, 1, ... and reads the indices off the increments of the
-    nullity sequence; raises if the generic member is rank deficient or the
-    indices are not all found by d = cols.
+    Column staircase (Van Dooren 1979) by exact elimination mod p: at level
+    k, the nu kernel vectors of B0 on which B1 has rank mu give nu - mu
+    indices equal to k; dropping those kernel columns and the mu rows B1
+    reaches leaves the pencil of level k + 1.  Raises if the generic member
+    is rank deficient or B0 of some level is injective before `want`
+    indices are found.
     """
     best = 0
     for s, t in ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3)):
@@ -74,19 +94,24 @@ def pencil_kernel_degrees(b0, b1, rows: int, cols: int, p: int, want: int = 2):
         raise ArithmeticError("pencil is rank deficient for generic members")
     if cols - rows < want:
         raise ArithmeticError("pencil kernel is too small")
+    m0 = [[b0[i * cols + j] % p for j in range(cols)] for i in range(rows)]
+    m1 = [[b1[i * cols + j] % p for j in range(cols)] for i in range(rows)]
     found = []
-    for d in range(cols + 1):
-        nd = _pencil_nullity(b0, b1, rows, cols, p, d)
-        expected = sum(d - e + 1 for e in found if e <= d)
-        for _ in range(nd - expected):
-            found.append(d)
-        if len(found) >= want:
-            return tuple(found[:want])
-    raise ArithmeticError("minimal indices not found within the degree cap")
+    level = 0
+    while len(found) < want:
+        nu, mu, m0, m1 = _staircase_level(m0, m1, rows, cols, p)
+        if nu == 0:
+            raise ArithmeticError("minimal indices not found within the degree cap")
+        found += [level] * (nu - mu)
+        rows, cols = rows - mu, cols - nu
+        level += 1
+    return tuple(found[:want])
 
 
 def _dual_basis_mod_p(x0: int, x1: int, x2: int, p: int):
     x = (x0 % p, x1 % p, x2 % p)
+    if not any(x):
+        raise ValueError("(0, 0, 0) is not a point of the plane")
     i0 = 0
     while x[i0] == 0:
         i0 += 1

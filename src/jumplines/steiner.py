@@ -142,13 +142,14 @@ def restrict_to_dual_line(sp: SteinerPencil, x: Point):
 
 
 def minimal_indices(field: FieldSpec, b0: Mat, b1: Mat, want: int | None = None):
-    """Kronecker column minimal indices of the pencil s*B0 + t*B1.
+    """Kronecker column minimal indices of the pencil s*B0 + t*B1, ascending.
 
-    For each degree d the map sends a vector of degree-d binary forms v(s,t)
-    to the coefficients of (s*B0 + t*B1) v; the nullity sequence N_d equals
-    sum(max(0, d - e + 1)) over the minimal indices e, and the indices are
-    read off its increments.  Requires full generic row rank; the number of
-    indices is then cols - rows.
+    Column staircase (Van Dooren 1979): at level k, the kernel K of B0 has
+    dimension nu and B1*K has rank mu, so nu - mu indices equal k; clearing
+    B1*K by row operations, then dropping its mu pivot rows and the nu kernel
+    columns, leaves the pencil of level k + 1.  Requires full generic row
+    rank; the number of indices is then cols - rows.  Prime fields run on the
+    scan kernels; `pencil_nullity` is the independent reference.
     """
     if b0.rows != b1.rows or b0.cols != b1.cols:
         raise ValueError("pencil matrices must share a shape")
@@ -160,7 +161,7 @@ def minimal_indices(field: FieldSpec, b0: Mat, b1: Mat, want: int | None = None)
             [int(v) for v in b0.entries], [int(v) for v in b1.entries], rows, cols, field.p, want
         )
         return tuple(int(d) for d in degs)
-    # rational path: same algorithm over exact scalars
+    # rational path: the same staircase over exact scalars
     probe_rank = 0
     for s, t in ((field.one, field.zero), (field.zero, field.one),
                  (field.one, field.one), (field.one, field.of(2)), (field.one, field.of(3))):
@@ -173,14 +174,35 @@ def minimal_indices(field: FieldSpec, b0: Mat, b1: Mat, want: int | None = None)
     if cols - rows < want:
         raise ArithmeticError("pencil kernel is too small")
     found = []
-    for d in range(cols + 1):
-        nd = pencil_nullity(field, b0, b1, d)
-        expected = sum(d - e + 1 for e in found if e <= d)
-        for _ in range(nd - expected):
-            found.append(d)
-        if len(found) >= want:
-            return tuple(found[:want])
-    raise ArithmeticError("minimal indices not found within the degree cap")
+    level = 0
+    while len(found) < want:
+        red, rho, piv = rref(field, b0)
+        free = [j for j in range(b0.cols) if j not in piv]
+        nu = len(free)
+        if nu == 0:
+            raise ArithmeticError("minimal indices not found within the degree cap")
+        # [B1*K | B0 on pivot columns | B1 on pivot columns]; kernel column f
+        # of K is e_f - sum_t red[t][f] e_piv[t]
+        aug = []
+        for i in range(b0.rows):
+            row0, row1 = b0.row(i), b1.row(i)
+            for f in free:
+                acc = row1[f]
+                for t in range(rho):
+                    acc = field.sub(acc, field.mul(red.at(t, f), row1[piv[t]]))
+                aug.append(acc)
+            aug += [row0[j] for j in piv] + [row1[j] for j in piv]
+        # every pivot in the B1*K columns comes first; the later ones only
+        # combine the rows that are kept, which leaves their indices alone
+        width = nu + 2 * rho
+        out, _, apiv = rref(field, Mat(b0.rows, width, tuple(aug)))
+        mu = sum(1 for c in apiv if c < nu)
+        found += [level] * (nu - mu)
+        keep = range(mu, b0.rows)
+        b0 = Mat(len(keep), rho, tuple(out.at(i, j) for i in keep for j in range(nu, nu + rho)))
+        b1 = Mat(len(keep), rho, tuple(out.at(i, j) for i in keep for j in range(nu + rho, width)))
+        level += 1
+    return tuple(found[:want])
 
 
 def pencil_nullity(field: FieldSpec, b0: Mat, b1: Mat, d: int) -> int:

@@ -5,22 +5,30 @@ pass/fail line per criterion (run pytest with -s to see all lines live).
 Everything is exact: no tolerances anywhere.
 """
 
+import contextlib
+import io
+import json
+
 import pytest
 
 from jumplines.cli import main
-from jumplines.verify import SHIPPED_SEEDS, run_all
+from jumplines.verify import SHIPPED_SEEDS
 
 
 @pytest.fixture(scope="module")
-def suite():
-    results, bundles = run_all(seeds=SHIPPED_SEEDS, p=101)
+def verify_run(tmp_path_factory):
+    """One `jumplines verify` over the shipped seeds: exit code, stdout, JSON report."""
+    path = tmp_path_factory.mktemp("verify") / "verify.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--out", str(path)])
     print()
-    for r in results:
-        print(r.line())
-    reseeds = {b.seed: b.reseeds for b in bundles if b.reseeds}
-    if reseeds:
-        print(f"reseeds taken: {reseeds}")
-    return {r.number: r for r in results}
+    print(out.getvalue(), end="")
+    report = json.loads(path.read_text())
+    if report["reseeds"]:
+        print(f"reseeds taken: {report['reseeds']}")
+    assert report["seeds"] == list(SHIPPED_SEEDS)
+    return code, out.getvalue(), report
 
 
 @pytest.mark.parametrize(
@@ -39,15 +47,14 @@ def suite():
         "10-determinism",
     ],
 )
-def test_criterion(suite, number):
-    result = suite[number]
-    print(result.line())
-    assert result.passed, result.detail
+def test_criterion(verify_run, number):
+    result = {c["number"]: c for c in verify_run[2]["criteria"]}[number]
+    print(f"criterion {number} {result['name']}: {result['detail']}")
+    assert result["passed"], result["detail"]
 
 
-def test_verify_cli_exits_zero_on_shipped_seeds(capsys):
-    code = main(["verify"])
-    out = capsys.readouterr().out
+def test_verify_cli_exits_zero_on_shipped_seeds(verify_run):
+    code, out, _ = verify_run
     lines = [l for l in out.splitlines() if l.startswith("[")]
     assert len(lines) == 10
     assert all(l.startswith("[PASS]") for l in lines)

@@ -30,6 +30,10 @@ def test_usage_errors(capsys):
     assert code == 1
     code2, _, _ = run(capsys, "jump", "--config", "/nonexistent/file.json")
     assert code2 == 1
+    for command in ("jump", "gamma"):
+        code3, _, err3 = run(capsys, command, "--count", "6", "--field", "q", "--seed", "1")
+        assert code3 == 1
+        assert "prime field" in err3
 
 
 def test_unknown_command_exit_code(capsys):

@@ -142,6 +142,15 @@ def test_pencil4_bookkeeping(cfg8, gamma8):
     assert lift_eliminant_roots(cfg8, res) == gamma8
 
 
+def test_lifted_roots_need_the_third_minor():
+    # at one root of R12 for this draw both entries of the first gradient row
+    # vanish (the R4 factor), so M01 = M02 = 0 there while M12 does not:
+    # no pencil member is singular at that point, and it is not in Gamma
+    cfg = random_config(8, F101, seed=129475684)
+    res = pencil4_eliminant(cfg)
+    assert lift_eliminant_roots(cfg, res) == gamma_points(cfg)
+
+
 def test_pencil4_needs_eight_points():
     with pytest.raises(DegenerateInputError):
         pencil4_eliminant(random_config(6, F101, seed=1))

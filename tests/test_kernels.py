@@ -1,6 +1,5 @@
 import os
 import random
-import re
 import shlex
 import shutil
 import sysconfig
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jumplines.algebra import Mat, prime_field, rank
+from jumplines.algebra import RATIONALS, Mat, mat_mul, prime_field, rank
 from jumplines.forms import HForm, basis_size, hf_eval, monomials
 from jumplines.geom import plane_points, random_config
 from jumplines.kernels import (
@@ -20,7 +19,13 @@ from jumplines.kernels import (
     pencil_kernel_degrees,
     rank_mod_p,
 )
-from jumplines.steiner import pencil_nullity, restrict_to_dual_line, steiner_pencil
+from jumplines.steiner import (
+    generic_eps1,
+    minimal_indices,
+    pencil_nullity,
+    restrict_to_dual_line,
+    steiner_pencil,
+)
 
 F101 = prime_field(101)
 IMPLS = backends()
@@ -45,24 +50,6 @@ def test_backends_present(kernel_build):
         "compiled kernel missing or older than _fastkern.c; "
         "python setup.py build_ext --inplace reported:\n" + kernel_build.stderr
     )
-
-
-def test_generated_c_matches_pyx():
-    # Cython quotes each source statement it translates, marked `# <<<`, under
-    # a `"jumplines/_fastkern.pyx":N` header; the quotes must still be line N
-    # of the .pyx, else the C (the build input) is stale.
-    pyx = C_SOURCE.with_suffix(".pyx").read_text().splitlines()
-    header = re.compile(r'/\* "jumplines/_fastkern\.pyx":(\d+)$')
-    marker = "             # <<<<<<<<<<<<<<"
-    lineno, quoted = None, 0
-    for line in C_SOURCE.read_text().splitlines():
-        m = header.search(line)
-        if m:
-            lineno = int(m.group(1))
-        elif line.endswith(marker) and lineno is not None:
-            assert line[3 : -len(marker)].rstrip() == pyx[lineno - 1].rstrip(), f"_fastkern.pyx:{lineno}"
-            lineno, quoted = None, quoted + 1
-    assert quoted > 200
 
 
 def test_backend_selected_by_prime_size():
@@ -121,6 +108,114 @@ def test_rank_matches_generic_linalg():
             assert impl.rank_mod_p(list(flat), r, c, 101) == expect
 
 
+def _kronecker_pencil(rng, lams):
+    """A pencil s*B0 + t*B1 in Kronecker form, as row lists with int entries.
+
+    L blocks of sizes e (e x (e+1): B0 = [I | 0], B1 = [0 | I]), finite
+    Jordan blocks (B0 = I, B1 = J(lam), singular where s + t*lam = 0) and
+    infinite ones (B0 nilpotent, B1 = I, singular where t = 0).  Returns
+    (rows, cols, B0, B1, sorted L sizes, lams of the finite blocks, number of
+    infinite blocks).
+    """
+    sizes = sorted(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+    finite = [(rng.randint(1, 2), rng.choice(lams)) for _ in range(rng.randint(0, 2))]
+    infinite = [rng.randint(1, 2) for _ in range(rng.randint(0, 1))]
+    rows = sum(sizes) + sum(k for k, _ in finite) + sum(infinite)
+    cols = rows + len(sizes)
+    b0 = [[0] * cols for _ in range(rows)]
+    b1 = [[0] * cols for _ in range(rows)]
+    r = c = 0
+    for e in sizes:
+        for i in range(e):
+            b0[r + i][c + i] = 1
+            b1[r + i][c + i + 1] = 1
+        r, c = r + e, c + e + 1
+    for k, lam in finite:
+        for i in range(k):
+            b0[r + i][c + i] = 1
+            b1[r + i][c + i] = lam
+            if i + 1 < k:
+                b1[r + i][c + i + 1] = 1
+        r, c = r + k, c + k
+    for k in infinite:
+        for i in range(k):
+            b1[r + i][c + i] = 1
+            if i + 1 < k:
+                b0[r + i][c + i + 1] = 1
+        r, c = r + k, c + k
+    return rows, cols, b0, b1, sizes, [lam for _, lam in finite], len(infinite)
+
+
+def _probes_find_full_rank(field, lams, n_infinite):
+    """Whether one of the kernels' five probe members (s, t) is regular on every
+    Jordan block; the L blocks have full row rank at every (s, t) != 0."""
+    for s, t in ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3)):
+        s, t = field.of(s), field.of(t)
+        if (n_infinite == 0 or t != 0) and all(field.add(s, field.mul(t, field.of(lam))) != 0 for lam in lams):
+            return True
+    return False
+
+
+def _transformed(field, rows, cols, pencil, entry):
+    """U*B0*V and U*B1*V for random invertible U, V with entries from entry()."""
+    def invertible(n):
+        while True:
+            m = Mat(n, n, tuple(field.of(entry()) for _ in range(n * n)))
+            if rank(field, m) == n:
+                return m
+
+    u, v = invertible(rows), invertible(cols)
+    out = []
+    for b in pencil:
+        m = Mat(rows, cols, tuple(field.of(x) for row in b for x in row))
+        out.append(mat_mul(field, mat_mul(field, u, m), v) if rows else m)
+    return out
+
+
+def _check_nullities(field, m0, m1, indices):
+    # N_d = sum(max(0, d - e + 1)) over the minimal indices e
+    for d in range(max(indices) + 2):
+        assert pencil_nullity(field, m0, m1, d) == sum(max(0, d - e + 1) for e in indices)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_indices_of_kronecker_pencils(p):
+    # L blocks plus a regular part, under random invertible row and column
+    # transforms: the minimal indices are the smallest L block sizes
+    field = prime_field(p)
+    rng = random.Random(100 + p)
+    for _ in range(25):
+        rows, cols, b0, b1, sizes, lams, n_inf = _kronecker_pencil(rng, range(p))
+        m0, m1 = _transformed(field, rows, cols, (b0, b1), lambda: rng.randrange(p))
+        flat0, flat1 = [int(x) for x in m0.entries], [int(x) for x in m1.entries]
+        want = rng.randint(0, cols - rows)
+        if not _probes_find_full_rank(field, lams, n_inf):
+            for impl in IMPLS.values():
+                with pytest.raises(ArithmeticError, match="rank deficient"):
+                    impl.pencil_kernel_degrees(flat0, flat1, rows, cols, p, want)
+            continue
+        for impl in IMPLS.values():
+            assert tuple(impl.pencil_kernel_degrees(flat0, flat1, rows, cols, p, want)) == tuple(sizes[:want])
+        indices = minimal_indices(field, m0, m1)
+        assert indices == tuple(sizes)
+        _check_nullities(field, m0, m1, indices)
+
+
+def test_indices_of_kronecker_pencils_over_q():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(12):
+        rows, cols, b0, b1, sizes, lams, n_inf = _kronecker_pencil(rng, range(-3, 4))
+        if not _probes_find_full_rank(RATIONALS, lams, n_inf):
+            continue
+        m0, m1 = _transformed(RATIONALS, rows, cols, (b0, b1), lambda: rng.randint(-2, 2))
+        indices = minimal_indices(RATIONALS, m0, m1)
+        assert indices == tuple(sizes)
+        _check_nullities(RATIONALS, m0, m1, indices)
+        checked += 1
+    assert checked >= 8
+
+
 def test_pencil_degrees_backend_parity():
     rng = random.Random(2)
     for _ in range(30):
@@ -150,22 +245,43 @@ def test_eval_form_many_matches_pointwise():
 
 
 def test_splitting_scan_backend_parity():
-    cfg = random_config(8, F101, seed=5)
-    sp = steiner_pencil(cfg)
-    a0 = [int(v) for v in sp.A0.entries]
-    a1 = [int(v) for v in sp.A1.entries]
-    a2 = [int(v) for v in sp.A2.entries]
-    pts = plane_points(101)[:80] + list(cfg.points)
+    # the whole plane of F_31, with the jumping points of an even and an odd m
+    pts = plane_points(31)
     flat = [int(c) for pt in pts for c in pt]
-    outs = []
+    for m in (8, 9):
+        cfg = random_config(m, prime_field(31), seed=5)
+        sp = steiner_pencil(cfg)
+        a0 = [int(v) for v in sp.A0.entries]
+        a1 = [int(v) for v in sp.A1.entries]
+        a2 = [int(v) for v in sp.A2.entries]
+        outs = []
+        for impl in IMPLS.values():
+            outs.append([int(v) for v in impl.splitting_scan(a0, a1, a2, m - 3, m - 1, flat, 31)])
+        assert all(o == outs[0] for o in outs)
+        assert any(outs[0][2 * i] + 1 < generic_eps1(m) for i in range(len(pts)))
+        # spot check against the per-point route
+        for x in pts[:10] + list(cfg.points):
+            b0, b1 = restrict_to_dual_line(sp, x)
+            d = pencil_kernel_degrees([int(v) for v in b0.entries], [int(v) for v in b1.entries], m - 3, m - 1, 31, 2)
+            j = pts.index(x)
+            assert [int(v) for v in d] == outs[0][2 * j : 2 * j + 2]
+
+
+def test_kernels_reject_malformed_input():
+    a = [1] * 6
     for impl in IMPLS.values():
-        outs.append([int(v) for v in impl.splitting_scan(a0, a1, a2, 5, 7, flat, 101)])
-    assert all(o == outs[0] for o in outs)
-    # spot check against the per-point route
-    for i, x in enumerate(pts[:10]):
-        b0, b1 = restrict_to_dual_line(sp, x)
-        d = pencil_kernel_degrees([int(v) for v in b0.entries], [int(v) for v in b1.entries], 5, 7, 101, 2)
-        assert [int(v) for v in d] == outs[0][2 * i : 2 * i + 2]
+        with pytest.raises(ValueError, match="not a point"):
+            impl.splitting_scan(a, a, a, 2, 3, [0, 0, 0, 0, 0, 1], 101)
+    compiled = IMPLS.get("compiled")
+    if compiled is None:
+        return
+    # the compiled kernels refuse what would overflow or index out of bounds
+    with pytest.raises(ValueError, match="modulus"):
+        compiled.rank_mod_p([1], 1, 1, COMPILED_P_LIMIT)
+    with pytest.raises(ValueError, match="exponents"):
+        compiled.eval_form_many([1], [0, -1, 1], [0, 0, 1], 101)
+    with pytest.raises(IndexError):
+        compiled.rank_mod_p([1, 2, 3], 2, 2, 101)
 
 
 def test_selected_backend_exports():
