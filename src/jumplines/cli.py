@@ -128,6 +128,8 @@ def cmd_jump(args) -> int:
     _need_prime_field(cfg, "jump")
     rep = jumping_scan(cfg, threads=args.threads)
     _write(args.out, rep.to_json() if args.format == "json" else rep.to_csv())
+    if not rep.verdicts.get("gamma_disjoint_from_z", True):
+        raise DegenerateInputError("fat-point condition meets the configuration")
     return 0 if rep.all_verdicts_true() else 3
 
 
@@ -199,7 +201,7 @@ def cmd_verify(args) -> int:
     report = {
         "seeds": list(seeds),
         "p": args.p,
-        "reseeds": {b.seed: b.reseeds for b in bundles if b.reseeds},
+        "reseeds": {b.seed: b.report.reseeds for b in bundles if b.report.reseeds},
         "criteria": [
             {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results

@@ -51,13 +51,7 @@ from .forms import (
     binary_form_to_upoly,
 )
 from .geom import PointConfig, Point, normalize_point, plane_points, validate_config
-from .steiner import (
-    SteinerPencil,
-    generic_eps1,
-    jumping_order,
-    splitting_scan,
-    steiner_pencil,
-)
+from .steiner import generic_eps1, splitting_scan, steiner_pencil
 
 
 class VerificationError(AssertionError):
@@ -510,21 +504,18 @@ def ninth_point(cfg: PointConfig, transform_seed: int = 0, retries: int = 24) ->
 # ---------------------------------------------------------------------------
 
 
-def containment_monoidal(cfg: PointConfig, x_extra: Point) -> bool:
+def containment_monoidal(report: JumpingReport, x_extra: Point) -> bool:
     """Does the monoidal curve of the augmented configuration contain Z and Gamma?"""
+    cfg = report.config
     field = cfg.field
     m = len(cfg)
     if m % 2:
         raise DegenerateInputError("containment check needs an even configuration")
-    n = m // 2
     x_extra = normalize_point(field, x_extra)
     aug = PointConfig(cfg.points + (x_extra,), field)
-    validate_config(aug, degrees=(n,))
+    validate_config(aug, degrees=(m // 2,))
     mono = monoidal_det(aug)
-    targets = list(cfg.points)
-    if n > 3:
-        targets += gamma_points(cfg)
-    return all(field.is_zero(hf_eval(field, mono, pt)) for pt in targets)
+    return all(field.is_zero(hf_eval(field, mono, pt)) for pt in cfg.points + report.gamma)
 
 
 def _valid_extra_point(cfg: PointConfig, rng) -> Point:
@@ -549,19 +540,17 @@ def _valid_extra_point(cfg: PointConfig, rng) -> Point:
     raise DegenerateInputError("no valid augmenting point found")
 
 
-def base_locus_equality(cfg: PointConfig, trials: int, seed: int = 0):
+def base_locus_equality(report: JumpingReport, trials: int, seed: int):
     """Intersect the zero sets of several augmented monoidal curves.
 
     Returns ``(equal, intersection)`` where ``equal`` says whether the
-    intersection over all plane points equals Z union Gamma exactly.
+    intersection over all plane points equals Z union the report's Gamma
+    exactly.
     """
+    cfg = report.config
     field = cfg.field
-    if field.kind != "fp":
-        raise ValueError("base-locus intersection needs a prime field")
-    m = len(cfg)
-    if m % 2:
+    if len(cfg) % 2:
         raise DegenerateInputError("base-locus check needs an even configuration")
-    n = m // 2
     rng = random.Random(f"jumplines:baselocus:{field.tag}:{seed}")
     pts = plane_points(field.p)
     alive = None
@@ -571,8 +560,7 @@ def base_locus_equality(cfg: PointConfig, trials: int, seed: int = 0):
         vals = eval_form_on_points(field, monoidal_det(aug), pts)
         zeros = {pt for pt, v in zip(pts, vals) if v == 0}
         alive = zeros if alive is None else (alive & zeros)
-    expected = set(cfg.points) | set(gamma_points(cfg) if n > 3 else [])
-    return alive == expected, alive
+    return alive == set(cfg.points + report.gamma), alive
 
 
 # ---------------------------------------------------------------------------
@@ -638,40 +626,27 @@ def pinceau_factorization(cfg: PointConfig, x: Point) -> PinceauResult:
 # ---------------------------------------------------------------------------
 
 
-def lien_equivalence(cfg: PointConfig, sp: SteinerPencil | None = None, sample: int = 500,
-                     seed: int = 0, orders_from_scan: dict | None = None):
+def lien_equivalence(report: JumpingReport, sample: int, seed: int):
     """Check: a dual line jumps iff some fat-point system is nonempty.
 
-    For every sampled x outside the configuration, jumping_order(x) >= 1
-    must be equivalent to fat_point_dim(z, x, a, a+1) >= 1 for some a below
-    the balanced index floor((m-1)/2).  The sample always includes the
-    rational Gamma points; configuration points are skipped (the ideal-sheaf
-    translation of the jumping test is only valid away from Z).
+    For every sampled x outside the configuration, the scanned order at x
+    being >= 1 must be equivalent to fat_point_dim(z, x, a, a+1) >= 1 for
+    some a below the balanced index floor((m-1)/2).  The sample always
+    includes the report's Gamma points; configuration points are skipped (the
+    ideal-sheaf translation of the jumping test is only valid away from Z).
     Returns (ok, witness).
     """
+    cfg = report.config
     field = cfg.field
-    if field.kind != "fp":
-        raise ValueError("sampling needs a prime field")
-    m = len(cfg)
-    if sp is None:
-        sp = steiner_pencil(cfg)
-    e1gen = generic_eps1(m)
-    systems = {}
-    for a in range(1, e1gen):
-        systems[a] = curves_through(cfg, a + 1)
+    systems = {a: curves_through(cfg, a + 1) for a in range(1, generic_eps1(len(cfg)))}
+    orders = {r.point: r.order for r in report.records}
     pts = plane_points(field.p)
     rng = random.Random(f"jumplines:lien:{field.tag}:{seed}")
     chosen = [pts[i] for i in rng.sample(range(len(pts)), min(sample, len(pts)))]
-    if m % 2 == 0 and m // 2 > 3:
-        chosen += gamma_points(cfg)
     zset = set(cfg.points)
-    for x in chosen:
+    for x in chosen + list(report.gamma):
         if x in zset:
             continue
-        if orders_from_scan is not None and x in orders_from_scan:
-            jumps = orders_from_scan[x] >= 1
-        else:
-            jumps = jumping_order(sp, x) >= 1
         fat = False
         for a, system in systems.items():
             if system.dim() == 0:
@@ -680,6 +655,6 @@ def lien_equivalence(cfg: PointConfig, sp: SteinerPencil | None = None, sample: 
             if system.dim() - rank(field, jm) >= 1:
                 fat = True
                 break
-        if jumps != fat:
+        if (orders[x] >= 1) != fat:
             return False, x
     return True, None

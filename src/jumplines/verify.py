@@ -17,14 +17,15 @@ import time
 from dataclasses import dataclass
 
 from .algebra import DegenerateInputError, distinct_degree_profile, prime_field, up_squarefree_part
-from .geom import PointConfig, random_config
+from .geom import random_config
 from .intersect import jumping_length, tangency_degree
 from .jumping import (
+    JumpingReport,
+    Pencil4Result,
     VerificationError,
     _valid_extra_point,
     base_locus_equality,
     containment_monoidal,
-    gamma_scan,
     jumping_scan,
     length_accounting,
     lien_equivalence,
@@ -33,7 +34,6 @@ from .jumping import (
     pencil4_eliminant,
     pinceau_factorization,
 )
-from .steiner import steiner_pencil
 
 SHIPPED_SEEDS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 _RESEED_STRIDE = 100003
@@ -54,15 +54,15 @@ class CriterionResult:
 
 @dataclass
 class SeedBundle:
-    """Everything criterion checks need for one 8-point configuration."""
+    """Everything criterion checks need for one 8-point configuration.
 
-    seed: int
-    used_seed: int
-    reseeds: int
-    config: PointConfig
-    report: object
-    gamma: list
-    pencil: object
+    The report carries the configuration, the seed it was drawn from, the
+    reseed count and Gamma; every criterion reads them from there.
+    """
+
+    seed: int  # as requested, before any reseed
+    report: JumpingReport
+    eliminant: Pencil4Result
 
 
 def resolve_bundle(seed: int, p: int, threads: int = 1) -> SeedBundle:
@@ -73,8 +73,8 @@ def resolve_bundle(seed: int, p: int, threads: int = 1) -> SeedBundle:
     while True:
         try:
             cfg = random_config(8, field, seed=s)
-            gamma, zhits = gamma_scan(cfg)
-            if zhits:
+            report = jumping_scan(cfg, threads=threads)
+            if not report.verdicts["gamma_disjoint_from_z"]:
                 raise DegenerateInputError("fat-point condition meets the configuration")
             res = pencil4_eliminant(cfg)
             sf = up_squarefree_part(field, res.r12)
@@ -86,10 +86,9 @@ def resolve_bundle(seed: int, p: int, threads: int = 1) -> SeedBundle:
                 raise
             s = seed + reseeds * _RESEED_STRIDE
             continue
-        report = jumping_scan(cfg, threads=threads)
         report.reseeds = reseeds
         report.seed = s
-        return SeedBundle(seed, s, reseeds, cfg, report, gamma, steiner_pencil(cfg))
+        return SeedBundle(seed, report, res)
 
 
 def _timed(fn):
@@ -112,9 +111,9 @@ def criterion_1(bundles) -> CriterionResult:
                 and v["gamma_disjoint_from_z"]
             )
             if not need:
-                fails.append((b.used_seed, b.report.witness))
-            gammas.append(len(b.gamma))
-        detail = f"seeds {[b.used_seed for b in bundles]} gamma sizes {gammas}"
+                fails.append((b.report.seed, b.report.witness))
+            gammas.append(len(b.report.gamma))
+        detail = f"seeds {[b.report.seed for b in bundles]} gamma sizes {gammas}"
         if fails:
             detail = f"witnesses {fails}"
         return not fails, detail
@@ -132,19 +131,19 @@ def criterion_2(bundles, p: int) -> CriterionResult:
             total, z_part, gamma_part = length_accounting(4)
             if (total, z_part, gamma_part) != (36, 24, 12):
                 return False, f"length split {(total, z_part, gamma_part)}"
-            res = pencil4_eliminant(b.config)
+            seed, res, gamma = b.report.seed, b.eliminant, list(b.report.gamma)
             degs = (len(res.r16) - 1, len(res.r4) - 1, len(res.r12) - 1)
             if degs != (16, 4, 12):
-                return False, f"seed {b.used_seed}: degrees {degs}"
+                return False, f"seed {seed}: degrees {degs}"
             sf = up_squarefree_part(field, res.r12)
             if len(sf) != len(res.r12):
-                return False, f"seed {b.used_seed}: eliminant not squarefree"
+                return False, f"seed {seed}: eliminant not squarefree"
             prof = distinct_degree_profile(field, sf)
             if sum(t for _, t in prof) != 12:
-                return False, f"seed {b.used_seed}: buckets {prof}"
-            lifted = lift_eliminant_roots(b.config, res)
-            if lifted != b.gamma:
-                return False, f"seed {b.used_seed}: lifted {lifted} != gamma {b.gamma}"
+                return False, f"seed {seed}: buckets {prof}"
+            lifted = lift_eliminant_roots(b.report.config, res)
+            if lifted != gamma:
+                return False, f"seed {seed}: lifted {lifted} != gamma {gamma}"
         return True, f"16 = 4 + 12 with closure count 12 on all {len(bundles)} seeds"
 
     (ok, detail), dt = _timed(run)
@@ -171,14 +170,12 @@ def criterion_4(bundles) -> CriterionResult:
     """Pencil test and fat-point test agree on samples and on Gamma."""
     def run():
         for b in bundles:
-            orders = {r.point: r.order for r in b.report.records}
-            ok, witness = lien_equivalence(
-                b.config, b.pencil, sample=500, seed=b.used_seed, orders_from_scan=orders
-            )
+            rep = b.report
+            ok, witness = lien_equivalence(rep, sample=500, seed=rep.seed)
             if not ok:
-                return False, f"seed {b.used_seed}: witness {witness}"
-            if any(orders[pt] < 1 for pt in b.config.points):
-                return False, f"seed {b.used_seed}: a configuration point does not jump"
+                return False, f"seed {rep.seed}: witness {witness}"
+            if any(r.in_z and r.order < 1 for r in rep.records):
+                return False, f"seed {rep.seed}: a configuration point does not jump"
         return True, f"500 samples + all of Z and Gamma per seed, {len(bundles)} seeds"
 
     (ok, detail), dt = _timed(run)
@@ -209,10 +206,11 @@ def criterion_6(bundles) -> CriterionResult:
     def run():
         pts = []
         for b in bundles:
-            p9 = ninth_point(b.config)
-            orders = {r.point: r.order for r in b.report.records}
-            if p9 in b.config or p9 in set(b.gamma) or orders[p9] != 0:
-                return False, f"seed {b.used_seed}: ninth point {p9} misbehaves"
+            rep = b.report
+            p9 = ninth_point(rep.config)
+            orders = {r.point: r.order for r in rep.records}
+            if p9 in rep.config or p9 in rep.gamma or orders[p9] != 0:
+                return False, f"seed {rep.seed}: ninth point {p9} misbehaves"
             pts.append(p9)
         return True, f"base point verified, outside Z and Gamma, order 0 ({len(pts)} seeds)"
 
@@ -224,14 +222,15 @@ def criterion_7(bundles, trials: int = 4) -> CriterionResult:
     """Augmented monoidal curves contain Z u Gamma; a few of them cut it exactly."""
     def run():
         for b in bundles:
-            rng = random.Random(f"jumplines:fixe:{b.used_seed}")
+            rep = b.report
+            rng = random.Random(f"jumplines:fixe:{rep.seed}")
             for _ in range(5):
-                x = _valid_extra_point(b.config, rng)
-                if not containment_monoidal(b.config, x):
-                    return False, f"seed {b.used_seed}: containment fails at {x}"
-            equal, alive = base_locus_equality(b.config, trials=trials, seed=b.used_seed)
+                x = _valid_extra_point(rep.config, rng)
+                if not containment_monoidal(rep, x):
+                    return False, f"seed {rep.seed}: containment fails at {x}"
+            equal, alive = base_locus_equality(rep, trials=trials, seed=rep.seed)
             if not equal:
-                return False, f"seed {b.used_seed}: intersection has {len(alive)} points"
+                return False, f"seed {rep.seed}: intersection has {len(alive)} points"
         return True, f"5 containments + exact {trials}-curve base locus per seed ({len(bundles)} seeds)"
 
     (ok, detail), dt = _timed(run)
@@ -243,11 +242,12 @@ def criterion_8(bundles) -> CriterionResult:
     def run():
         n_checked = 0
         for b in bundles:
-            for x in b.gamma:
+            rep = b.report
+            for x in rep.gamma:
                 try:
-                    pinceau_factorization(b.config, x)
+                    pinceau_factorization(rep.config, x)
                 except VerificationError as exc:
-                    return False, f"seed {b.used_seed} at {x}: {exc}"
+                    return False, f"seed {rep.seed} at {x}: {exc}"
                 n_checked += 1
         return True, f"factorization verified at {n_checked} rational Gamma points"
 

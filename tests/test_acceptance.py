@@ -11,8 +11,9 @@ import json
 
 import pytest
 
+import jumplines.jumping
 from jumplines.cli import main
-from jumplines.verify import SHIPPED_SEEDS
+from jumplines.verify import SHIPPED_SEEDS, run_all
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +71,17 @@ def test_gen_and_jump_replay_byte_identical(tmp_path):
     for path in (ra, rb):
         assert main(["jump", "--config", str(a), "--out", str(path)]) == 0
     assert ra.read_bytes() == rb.read_bytes()
+
+
+def test_verify_scans_each_configuration_once(monkeypatch):
+    scanned = []
+    gamma_scan = jumplines.jumping.gamma_scan
+
+    def counted(cfg):
+        scanned.append(cfg)
+        return gamma_scan(cfg)
+
+    monkeypatch.setattr(jumplines.jumping, "gamma_scan", counted)
+    results, bundles = run_all(seeds=(1,))
+    assert all(r.passed for r in results)
+    assert scanned == [b.report.config for b in bundles]

@@ -60,6 +60,16 @@ def test_jump_six_points_json_and_csv(tmp_path, capsys):
     assert outp.read_bytes() == outp2.read_bytes()
 
 
+def test_jump_degenerate_configuration_exits_two(tmp_path, capsys):
+    # these ten points meet the fat-point condition at a point of Z
+    outp = tmp_path / "rep.json"
+    code, _, err = run(capsys, "jump", "--count", "10", "--seed", "43915", "--out", str(outp))
+    assert code == 2
+    assert err == "degenerate input: fat-point condition meets the configuration\n"
+    rep = json.loads(outp.read_text())
+    assert [k for k, v in rep["verdicts"].items() if not v] == ["gamma_disjoint_from_z"]
+
+
 def test_monoidal_command(tmp_path, capsys):
     cfgp = tmp_path / "c5.json"
     assert main(["gen", "--count", "5", "--seed", "1", "--out", str(cfgp)]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -45,6 +46,11 @@ def report8(cfg8):
 @pytest.fixture(scope="module")
 def gamma8(cfg8):
     return gamma_points(cfg8)
+
+
+@pytest.fixture(scope="module")
+def report6():
+    return jumping_scan(random_config(6, F101, seed=1))
 
 
 def test_gamma_small_cases():
@@ -167,34 +173,40 @@ def test_ninth_point_properties(cfg8, gamma8):
     assert jumping_order(sp, p9) == 0
 
 
-def test_containment_monoidal(cfg8):
+def test_containment_monoidal(report8, cfg8, report6):
     rng = random.Random("containment")
     for _ in range(3):
         x = _valid_extra_point(cfg8, rng)
-        assert containment_monoidal(cfg8, x)
-    cfg6 = random_config(6, F101, seed=1)
-    x6 = _valid_extra_point(cfg6, rng)
-    assert containment_monoidal(cfg6, x6)
+        assert containment_monoidal(report8, x)
+    x6 = _valid_extra_point(report6.config, rng)
+    assert containment_monoidal(report6, x6)
 
 
-def test_containment_rejects_degenerate_augmentation(cfg8):
+def test_containment_rejects_degenerate_augmentation(report8, cfg8):
     # a point collinear with two configuration points is rejected
     a, b = cfg8.points[0], cfg8.points[1]
     third = normalize_point(F101, tuple((2 * u + 3 * v) % 101 for u, v in zip(a, b)))
     with pytest.raises(DegenerateInputError):
-        containment_monoidal(cfg8, third)
+        containment_monoidal(report8, third)
 
 
-def test_base_locus_equality(cfg8, gamma8):
-    equal, alive = base_locus_equality(cfg8, trials=4, seed=0)
+def test_base_locus_equality(report8, cfg8, gamma8, report6):
+    equal, alive = base_locus_equality(report8, trials=4, seed=0)
     assert equal
     assert alive == set(cfg8.points) | set(gamma8)
-    equal1, alive1 = base_locus_equality(cfg8, trials=1, seed=0)
+    equal1, alive1 = base_locus_equality(report8, trials=1, seed=0)
     # one curve is not the base locus: strictly bigger for this seed
     assert alive1 > set(cfg8.points) | set(gamma8)
-    cfg6 = random_config(6, F101, seed=1)
-    equal6, alive6 = base_locus_equality(cfg6, trials=4, seed=0)
-    assert equal6 and alive6 == set(cfg6.points)
+    equal6, alive6 = base_locus_equality(report6, trials=4, seed=0)
+    assert equal6 and alive6 == set(report6.config.points)
+
+
+def test_base_locus_equality_reads_the_reported_gamma(report8, gamma8):
+    # the check compares against the Gamma it is handed, not one it derives
+    short = dataclasses.replace(report8, gamma=report8.gamma[1:])
+    equal, alive = base_locus_equality(short, trials=4, seed=0)
+    assert not equal
+    assert alive == set(report8.config.points) | set(gamma8)
 
 
 def test_pinceau_factorization(cfg8, gamma8):
@@ -223,15 +235,13 @@ def test_pinceau_rejects_non_gamma_point(cfg8, gamma8):
         pinceau_factorization(cfg8, x)
 
 
-def test_lien_equivalence(cfg8):
-    sp = steiner_pencil(cfg8)
-    ok, witness = lien_equivalence(cfg8, sp, sample=150, seed=3)
+def test_lien_equivalence(report8):
+    ok, witness = lien_equivalence(report8, sample=150, seed=3)
     assert ok, witness
 
 
-def test_lien_equivalence_six_points():
-    cfg = random_config(6, F101, seed=1)
-    ok, witness = lien_equivalence(cfg, sample=100, seed=4)
+def test_lien_equivalence_six_points(report6):
+    ok, witness = lien_equivalence(report6, sample=100, seed=4)
     assert ok, witness
 
 

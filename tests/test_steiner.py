@@ -166,13 +166,20 @@ def test_four_point_pencil_never_jumps():
         assert jumping_order(sp, x) == 0
 
 
-def test_splitting_scan_matches_pointwise_and_threads(cfg8, sp8):
-    pts = plane_points(101)[:120]
-    one = splitting_scan(sp8, pts, threads=1)
-    thr = splitting_scan(sp8, pts, threads=3)
+@pytest.mark.parametrize("m", [6, 8, 9])
+def test_splitting_scan_matches_pointwise_and_threads(m):
+    cfg = random_config(m, F101, seed=1)
+    sp = steiner_pencil(cfg)
+    special = list(cfg.points) + (gamma_points(cfg) if m % 2 == 0 else [])
+    pts = plane_points(101)[:120] + special
+    one = splitting_scan(sp, pts, threads=1)
+    thr = splitting_scan(sp, pts, threads=3)
     assert one == thr
-    for x, st in zip(pts[:25], one[:25]):
-        assert splitting_type(sp8, x) == st
+    # the second index is computed, not taken from eps1 + eps2 = m - 1
+    assert all(st.eps1 + st.eps2 == m - 1 for st in one)
+    for x, st in list(zip(pts, one))[:25] + list(zip(pts, one))[120:]:
+        assert splitting_type(sp, x) == st
+        assert jumping_order(sp, x) == generic_eps1(m) - st.eps1
 
 
 def test_splitting_type_ordering_guard():
