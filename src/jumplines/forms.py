@@ -259,6 +259,10 @@ def curves_through(cfg: PointConfig, d: int) -> LinearSystem:
     return LinearSystem(d, basis, cfg)
 
 
+def _symbolic_jet_rows(field: FieldSpec, system: LinearSystem, order: int):
+    return [[hf_partial_multi(field, f, alpha) for f in system.basis] for alpha in monomials(order)]
+
+
 def jet_matrix(system: LinearSystem, x: Point, k: int) -> Mat:
     """Matrix of order-k partials of the basis, evaluated at x.
 
@@ -272,10 +276,8 @@ def jet_matrix(system: LinearSystem, x: Point, k: int) -> Mat:
         raise ValueError("jet order out of range")
     if 0 < field.characteristic() <= system.degree:
         raise ValueError("jet reduction needs characteristic 0 or p > degree")
-    rows = []
-    for alpha in monomials(k):
-        rows.append([hf_eval(field, hf_partial_multi(field, f, alpha), x) for f in system.basis])
-    return Mat.from_rows(rows) if rows else Mat(0, len(system.basis), ())
+    rows = _symbolic_jet_rows(field, system, k)
+    return Mat.from_rows([[hf_eval(field, f, x) for f in row] for row in rows])
 
 
 def fat_point_dim(cfg: PointConfig, x: Point, k: int, d: int) -> int:
@@ -371,21 +373,14 @@ def form_matrix_det(field: FieldSpec, a, total_deg: int) -> HForm:
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_jet_rows(field: FieldSpec, system: LinearSystem, order: int):
-    rows = []
-    for alpha in monomials(order):
-        rows.append([hf_partial_multi(field, f, alpha) for f in system.basis])
-    return rows
-
-
-def monoidal_det(cfg: PointConfig) -> HForm:
-    """Determinant cutting out the locus of high-multiplicity curves.
+def monoidal_matrix(cfg: PointConfig):
+    """Square symbolic jet matrix whose determinant is the monoidal curve.
 
     For an odd configuration of size 2n+1, the rows are the order-(n-2)
     partials of the degree-n system through the points, a square matrix of
-    quadric entries of size binom(n, 2); the determinant has degree n(n-1)
-    and vanishes exactly where some degree-n curve through the configuration
-    acquires a point of multiplicity n-1.
+    quadric entries of size binom(n, 2).  It drops rank exactly where some
+    degree-n curve through the configuration acquires a point of
+    multiplicity n-1.
     """
     m = len(cfg)
     if m % 2 == 0 or m < 5:
@@ -397,8 +392,13 @@ def monoidal_det(cfg: PointConfig) -> HForm:
         raise DegenerateInputError(
             f"expected a {size}-dimensional system, got {system.dim()} (degenerate configuration)"
         )
-    rows = _symbolic_jet_rows(cfg.field, system, n - 2)
-    return form_matrix_det(cfg.field, rows, n * (n - 1))
+    return _symbolic_jet_rows(cfg.field, system, n - 2)
+
+
+def monoidal_det(cfg: PointConfig) -> HForm:
+    """Determinant of `monoidal_matrix`: the monoidal curve, of degree n(n-1)."""
+    n = (len(cfg) - 1) // 2
+    return form_matrix_det(cfg.field, monoidal_matrix(cfg), n * (n - 1))
 
 
 def gamma_minor_matrix(cfg: PointConfig):

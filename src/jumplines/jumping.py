@@ -27,7 +27,6 @@ from .algebra import (
     det,
     kernel_basis,
     mat_inverse,
-    rank,
     up_divrem,
     up_gcd,
     up_eval,
@@ -35,11 +34,13 @@ from .algebra import (
 )
 from .forms import (
     HForm,
+    _symbolic_jet_rows,
     curves_through,
     gamma_minor_matrix,
     hf_eval,
     hf_div_exact,
     hf_gcd,
+    hf_is_zero,
     hf_mul,
     hf_partial,
     hf_partial_multi,
@@ -47,6 +48,7 @@ from .forms import (
     jet_matrix,
     monomials,
     monoidal_det,
+    monoidal_matrix,
     sylvester_resultant,
     binary_form_to_upoly,
 )
@@ -63,13 +65,27 @@ class VerificationError(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-def eval_form_on_points(field: FieldSpec, f: HForm, pts) -> list:
+def eval_form_on_points(field: FieldSpec, f: HForm, flat) -> list:
+    """Values of f at the points given as one flat list of coordinates."""
     if field.kind != "fp":
         raise ValueError("batch evaluation needs a prime field")
     coeffs = [int(c) for c in f.coeffs]
     exps = [v for e in monomials(f.degree) for v in e]
-    flat = [int(c) for pt in pts for c in pt]
     return kernels.eval_form_many(coeffs, exps, flat, field.p)
+
+
+def rank_drops(field: FieldSpec, rows, pts) -> list:
+    """Does the matrix of forms `rows` lose column rank at each point?
+
+    The fat-point test: with a system's order-k partials as rows and its
+    members as columns, the rank drops at x iff some member has all order-k
+    partials zero at x.
+    """
+    flat = [int(c) for pt in pts for c in pt]
+    q = len(rows[0])
+    vals = [eval_form_on_points(field, entry, flat) for row in rows for entry in row]
+    rank_mod_p = kernels.impl_for(field.p).rank_mod_p  # one lookup for the whole scan
+    return [rank_mod_p(at, len(rows), q, field.p) < q for at in zip(*vals)]
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +110,11 @@ def gamma_scan(cfg: PointConfig):
     n = m // 2
     if n <= 3:
         return [], []
-    rows = gamma_minor_matrix(cfg)
-    q = len(rows[0])
     pts = plane_points(field.p)
-    vals = [[eval_form_on_points(field, entry, pts) for entry in row] for row in rows]
     zset = set(cfg.points)
     gamma, zhits = [], []
-    nrows = len(rows)
-    rank_mod_p = kernels.impl_for(field.p).rank_mod_p  # one lookup for the whole scan
-    for idx, pt in enumerate(pts):
-        flat = [vals[i][j][idx] for i in range(nrows) for j in range(q)]
-        if rank_mod_p(flat, nrows, q, field.p) < q:
+    for pt, drop in zip(pts, rank_drops(field, gamma_minor_matrix(cfg), pts)):
+        if drop:
             (zhits if pt in zset else gamma).append(pt)
     return sorted(gamma), zhits
 
@@ -235,7 +245,7 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
         report_gamma = tuple(gamma)
     else:
         mono = monoidal_det(cfg)
-        vals = eval_form_on_points(field, mono, pts)
+        vals = eval_form_on_points(field, mono, [int(c) for pt in pts for c in pt])
         ok_set = True
         for pt, st, v in zip(pts, sts, vals):
             order = e1gen - st.eps1
@@ -245,7 +255,8 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
                 ok_set = False
                 witness = witness or pt
         verdicts["jumping_set_is_monoidal_zero_locus"] = ok_set
-        verdicts["monoidal_degree_is_n_times_n_minus_1"] = mono.degree == n * (n - 1)
+        # a nonzero determinant of quadric entries has degree n(n-1)
+        verdicts["monoidal_degree_is_n_times_n_minus_1"] = not hf_is_zero(field, mono)
         counts["monoidal_degree"] = mono.degree
         counts["monoidal_zeros"] = sum(1 for v in vals if v == 0)
         counts["jumping_points"] = sum(1 for r in records if r.order >= 1)
@@ -514,8 +525,7 @@ def containment_monoidal(report: JumpingReport, x_extra: Point) -> bool:
     x_extra = normalize_point(field, x_extra)
     aug = PointConfig(cfg.points + (x_extra,), field)
     validate_config(aug, degrees=(m // 2,))
-    mono = monoidal_det(aug)
-    return all(field.is_zero(hf_eval(field, mono, pt)) for pt in cfg.points + report.gamma)
+    return all(rank_drops(field, monoidal_matrix(aug), cfg.points + report.gamma))
 
 
 def _valid_extra_point(cfg: PointConfig, rng) -> Point:
@@ -545,22 +555,19 @@ def base_locus_equality(report: JumpingReport, trials: int, seed: int):
 
     Returns ``(equal, intersection)`` where ``equal`` says whether the
     intersection over all plane points equals Z union the report's Gamma
-    exactly.
+    exactly.  Later curves are ranked only at the points still in it.
     """
     cfg = report.config
     field = cfg.field
     if len(cfg) % 2:
         raise DegenerateInputError("base-locus check needs an even configuration")
     rng = random.Random(f"jumplines:baselocus:{field.tag}:{seed}")
-    pts = plane_points(field.p)
-    alive = None
+    alive = plane_points(field.p)
     for _ in range(trials):
         x = _valid_extra_point(cfg, rng)
-        aug = PointConfig(cfg.points + (x,), field)
-        vals = eval_form_on_points(field, monoidal_det(aug), pts)
-        zeros = {pt for pt, v in zip(pts, vals) if v == 0}
-        alive = zeros if alive is None else (alive & zeros)
-    return alive == set(cfg.points + report.gamma), alive
+        rows = monoidal_matrix(PointConfig(cfg.points + (x,), field))
+        alive = [pt for pt, drop in zip(alive, rank_drops(field, rows, alive)) if drop]
+    return set(alive) == set(cfg.points + report.gamma), set(alive)
 
 
 # ---------------------------------------------------------------------------
@@ -626,35 +633,27 @@ def pinceau_factorization(cfg: PointConfig, x: Point) -> PinceauResult:
 # ---------------------------------------------------------------------------
 
 
-def lien_equivalence(report: JumpingReport, sample: int, seed: int):
+def lien_equivalence(report: JumpingReport):
     """Check: a dual line jumps iff some fat-point system is nonempty.
 
-    For every sampled x outside the configuration, the scanned order at x
-    being >= 1 must be equivalent to fat_point_dim(z, x, a, a+1) >= 1 for
-    some a below the balanced index floor((m-1)/2).  The sample always
-    includes the report's Gamma points; configuration points are skipped (the
+    For every scanned x outside the configuration, the order at x being >= 1
+    must be equivalent to fat_point_dim(z, x, a, a+1) >= 1 for some a below
+    the balanced index floor((m-1)/2).  Configuration points are skipped (the
     ideal-sheaf translation of the jumping test is only valid away from Z).
-    Returns (ok, witness).
+    Returns (ok, witness), the first failing point in record order.
     """
     cfg = report.config
     field = cfg.field
-    systems = {a: curves_through(cfg, a + 1) for a in range(1, generic_eps1(len(cfg)))}
-    orders = {r.point: r.order for r in report.records}
-    pts = plane_points(field.p)
-    rng = random.Random(f"jumplines:lien:{field.tag}:{seed}")
-    chosen = [pts[i] for i in rng.sample(range(len(pts)), min(sample, len(pts)))]
-    zset = set(cfg.points)
-    for x in chosen + list(report.gamma):
-        if x in zset:
-            continue
-        fat = False
-        for a, system in systems.items():
-            if system.dim() == 0:
-                continue
-            jm = jet_matrix(system, x, a - 1)
-            if system.dim() - rank(field, jm) >= 1:
-                fat = True
-                break
-        if (orders[x] >= 1) != fat:
-            return False, x
-    return True, None
+    top = generic_eps1(len(cfg))
+    if 0 < field.characteristic() <= top:
+        raise ValueError("jet reduction needs characteristic 0 or p > degree")
+    records = [r for r in report.records if not r.in_z]
+    pts = [r.point for r in records]
+    fat = [False] * len(pts)
+    for a in range(1, top):
+        system = curves_through(cfg, a + 1)
+        if system.dim():
+            drops = rank_drops(field, _symbolic_jet_rows(field, system, a - 1), pts)
+            fat = [f or d for f, d in zip(fat, drops)]
+    witness = next((r.point for r, f in zip(records, fat) if (r.order >= 1) != f), None)
+    return witness is None, witness

@@ -11,7 +11,8 @@ from jumplines.algebra import (
     up_mul,
     up_squarefree_part,
 )
-from jumplines.forms import curves_through, hf_eval, hf_partial
+from jumplines import kernels
+from jumplines.forms import curves_through, hf_eval, hf_partial, hf_zero, monoidal_det, monoidal_matrix
 from jumplines.geom import normalize_point, plane_points, random_config
 from jumplines.jumping import (
     VerificationError,
@@ -27,6 +28,7 @@ from jumplines.jumping import (
     ninth_point,
     pencil4_eliminant,
     pinceau_factorization,
+    rank_drops,
 )
 from jumplines.steiner import jumping_order, steiner_pencil
 
@@ -236,13 +238,45 @@ def test_pinceau_rejects_non_gamma_point(cfg8, gamma8):
 
 
 def test_lien_equivalence(report8):
-    ok, witness = lien_equivalence(report8, sample=150, seed=3)
+    ok, witness = lien_equivalence(report8)
     assert ok, witness
 
 
 def test_lien_equivalence_six_points(report6):
-    ok, witness = lien_equivalence(report6, sample=100, seed=4)
+    ok, witness = lien_equivalence(report6)
     assert ok, witness
+
+
+def test_lien_equivalence_returns_the_flipped_record(report8):
+    zset = set(report8.config.points)
+    records = list(report8.records)
+    i = next(i for i, r in enumerate(records) if r.order == 0 and r.point not in zset)
+    records[i] = dataclasses.replace(records[i], order=1)
+    ok, witness = lien_equivalence(dataclasses.replace(report8, records=tuple(records)))
+    assert not ok
+    assert witness == records[i].point
+
+
+def test_monoidal_degree_gate_fails_on_the_zero_form(monkeypatch):
+    # the gate must read the determinant, not its nominal degree
+    monkeypatch.setattr("jumplines.jumping.monoidal_det", lambda cfg: hf_zero(F101, 6))
+    rep = jumping_scan(random_config(7, F101, seed=1))
+    assert rep.verdicts["monoidal_degree_is_n_times_n_minus_1"] is False
+    assert rep.counts["monoidal_degree"] == 6
+
+
+@pytest.mark.parametrize("backend", sorted(kernels.backends()))
+@pytest.mark.parametrize("m", [7, 9, 11])
+def test_rank_drops_is_the_monoidal_zero_set(monkeypatch, backend, m):
+    # ranks of the square jet matrix vanish exactly where its determinant does
+    monkeypatch.setattr(kernels, "_impl", kernels.backends()[backend])
+    field = prime_field(31)
+    cfg = random_config(m, field, seed=1)
+    pts = plane_points(31)
+    mono = monoidal_det(cfg)
+    zeros = [hf_eval(field, mono, pt) == 0 for pt in pts]
+    assert rank_drops(field, monoidal_matrix(cfg), pts) == zeros
+    assert any(zeros) and not all(zeros)
 
 
 def test_pencil4_large_prime():
