@@ -1,4 +1,5 @@
-/* Compiled scan kernels: dense mod-p elimination and pencil minimal indices.
+/* Compiled scan kernels: dense mod-p elimination, pencil minimal indices and
+ * matrices of forms evaluated and reduced at many points.
  *
  * Mirrors jumplines.kernels.pure: flat row-major integer sequences, entries
  * reduced as Python's `x % p` into [0, p), first-nonzero pivoting, the same
@@ -38,10 +39,13 @@ static i64 mod_inv(i64 a, i64 p)
  * pcols columns in order and applying every row operation to the whole
  * width.  With piv == NULL only the rows below each pivot are cleared;
  * otherwise pivot rows are scaled to 1, cleared above as well (reduced row
- * echelon form) and the pivot columns are stored in piv.  Returns the rank
- * of the first pcols columns. */
-static int echelon(i64 *a, int rows, int width, int pcols, i64 p, int *piv)
+ * echelon form) and the pivot columns are stored in piv.  When parity is
+ * not NULL it receives the parity of the number of row swaps.  Returns the
+ * rank of the first pcols columns. */
+static int echelon(i64 *a, int rows, int width, int pcols, i64 p, int *piv, int *parity)
 {
+    if (parity)
+        *parity = 0;
     int r = 0;
     for (int c = 0; c < pcols && r < rows; c++) {
         int sel = r;
@@ -56,6 +60,8 @@ static int echelon(i64 *a, int rows, int width, int pcols, i64 p, int *piv)
             for (int j = c; j < width; j++) {
                 i64 v = pr[j]; pr[j] = ps[j]; ps[j] = v;
             }
+            if (parity)
+                *parity ^= 1;
         }
         i64 inv = mod_inv(pr[c], p);
         if (piv) {
@@ -97,7 +103,7 @@ static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, i64 
     for (int t = 0; t < 5 && best < rows; t++) {
         for (Py_ssize_t i = 0; i < n; i++)
             red[i] = (probes[t][0] * b0[i] + probes[t][1] * b1[i]) % p;
-        int r = echelon(red, rows, cols, cols, p, NULL);
+        int r = echelon(red, rows, cols, cols, p, NULL, NULL);
         if (r > best)
             best = r;
     }
@@ -111,7 +117,7 @@ static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, i64 
     int nfound = 0;
     for (int level = 0; nfound < want; level++) {
         memcpy(red, m0, (Py_ssize_t)rows * cols * sizeof(i64));
-        int rho = echelon(red, rows, cols, cols, p, piv);
+        int rho = echelon(red, rows, cols, cols, p, piv, NULL);
         int nu = cols - rho;
         if (nu == 0)
             return DEG_NOT_FOUND;
@@ -139,7 +145,7 @@ static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, i64 
                 a[nu + rho + t] = row1[piv[t]];
             }
         }
-        int mu = echelon(aug, rows, width, nu, p, NULL);
+        int mu = echelon(aug, rows, width, nu, p, NULL, NULL);
         for (int k = nu - mu; k > 0 && nfound < want; k--)
             out[nfound++] = level;
         rows -= mu;
@@ -293,7 +299,7 @@ static PyObject *rank_mod_p(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     int r;
     Py_BEGIN_ALLOW_THREADS
-    r = echelon(a, rows, cols, cols, p, NULL);
+    r = echelon(a, rows, cols, cols, p, NULL, NULL);
     Py_END_ALLOW_THREADS
     PyMem_Free(a);
     return PyLong_FromLong(r);
@@ -384,6 +390,61 @@ done:
     return res;
 }
 
+/* The first nmono exponent triples of obj, each exponent in [0, 2**20];
+ * *deg receives the largest total degree.  Returns a new buffer, or NULL
+ * with an exception set. */
+static i64 *read_exponents(PyObject *obj, Py_ssize_t nmono, i64 *deg)
+{
+    i64 *ee = read_ints(obj, 3 * nmono, 0);
+    if (!ee)
+        return NULL;
+    *deg = 0;
+    for (Py_ssize_t i = 0; i < nmono; i++) {
+        const i64 *e = ee + 3 * i;
+        if (e[0] < 0 || e[1] < 0 || e[2] < 0 || e[0] > MAX_EXP || e[1] > MAX_EXP || e[2] > MAX_EXP) {
+            PyErr_SetString(PyExc_ValueError, "exponents must lie in [0, 2**20]");
+            PyMem_Free(ee);
+            return NULL;
+        }
+        if (e[0] + e[1] + e[2] > *deg)
+            *deg = e[0] + e[1] + e[2];
+    }
+    return ee;
+}
+
+/* The dot product mod p of n coefficients and n monomial values.  Each
+ * product is below 2**62, so an unsigned sum below 2**63 can take one more
+ * before it is reduced: for small p it is reduced only once. */
+static i64 dot_mod(const i64 *c, const i64 *v, Py_ssize_t n, i64 p)
+{
+    unsigned long long acc = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        acc += (unsigned long long)(c[k] * v[k]);
+        if (acc >> 63)
+            acc %= (unsigned long long)p;
+    }
+    return (i64)(acc % (unsigned long long)p);
+}
+
+/* Values at the point x of the nmono monomials with exponent triples ee
+ * (total degree at most deg), written to mv.  pw is scratch for the powers
+ * of the three coordinates, 3 * (deg + 1) residues. */
+static void monomial_values(const i64 *x, const i64 *ee, Py_ssize_t nmono, i64 deg, i64 p, i64 *pw,
+                            i64 *mv)
+{
+    i64 *px = pw, *py = pw + deg + 1, *pz = pw + 2 * (deg + 1);
+    px[0] = py[0] = pz[0] = 1;
+    for (i64 i = 1; i <= deg; i++) {
+        px[i] = px[i - 1] * x[0] % p;
+        py[i] = py[i - 1] * x[1] % p;
+        pz[i] = pz[i - 1] * x[2] % p;
+    }
+    for (Py_ssize_t i = 0; i < nmono; i++) {
+        const i64 *e = ee + 3 * i;
+        mv[i] = px[e[0]] * py[e[1]] % p * pz[e[2]] % p;
+    }
+}
+
 static PyObject *eval_form_many(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"coeffs", "exps_flat", "pts_flat", "p", NULL};
@@ -397,44 +458,82 @@ static PyObject *eval_form_many(PyObject *self, PyObject *args, PyObject *kwargs
         return NULL;
     npts /= 3;
     PyObject *res = NULL;
-    i64 *cc = NULL, *ee = NULL, *pts = NULL, *out = NULL, *pw = NULL;
-    if (!(cc = read_ints(coeffs_obj, nmono, p)) || !(ee = read_ints(exps_obj, 3 * nmono, 0))
-        || !(pts = read_ints(pts_obj, 3 * npts, p)) || !(out = alloc(npts, sizeof(i64))))
-        goto done;
     i64 deg = 0;
-    for (Py_ssize_t i = 0; i < nmono; i++) {
-        const i64 *e = ee + 3 * i;
-        if (e[0] < 0 || e[1] < 0 || e[2] < 0 || e[0] > MAX_EXP || e[1] > MAX_EXP || e[2] > MAX_EXP) {
-            PyErr_SetString(PyExc_ValueError, "exponents must lie in [0, 2**20]");
-            goto done;
-        }
-        if (e[0] + e[1] + e[2] > deg)
-            deg = e[0] + e[1] + e[2];
-    }
-    /* powers of x, y and z up to deg */
-    if (!(pw = alloc(3 * (deg + 1), sizeof(i64))))
+    i64 *cc = NULL, *ee = NULL, *pts = NULL, *out = NULL, *pw = NULL, *mv = NULL;
+    if (!(cc = read_ints(coeffs_obj, nmono, p)) || !(ee = read_exponents(exps_obj, nmono, &deg))
+        || !(pts = read_ints(pts_obj, 3 * npts, p)) || !(out = alloc(npts, sizeof(i64)))
+        || !(pw = alloc(3 * (deg + 1), sizeof(i64))) || !(mv = alloc(nmono, sizeof(i64))))
         goto done;
     Py_BEGIN_ALLOW_THREADS
-    i64 *px = pw, *py = pw + deg + 1, *pz = pw + 2 * (deg + 1);
     for (Py_ssize_t pt = 0; pt < npts; pt++) {
-        px[0] = py[0] = pz[0] = 1;
-        for (i64 i = 1; i <= deg; i++) {
-            px[i] = px[i - 1] * pts[3 * pt] % p;
-            py[i] = py[i - 1] * pts[3 * pt + 1] % p;
-            pz[i] = pz[i - 1] * pts[3 * pt + 2] % p;
-        }
-        i64 acc = 0;
-        for (Py_ssize_t i = 0; i < nmono; i++) {
-            const i64 *e = ee + 3 * i;
-            if (cc[i] != 0)
-                acc = (acc + cc[i] * (px[e[0]] * py[e[1]] % p) % p * pz[e[2]]) % p;
-        }
-        out[pt] = acc;
+        monomial_values(pts + 3 * pt, ee, nmono, deg, p, pw, mv);
+        out[pt] = dot_mod(cc, mv, nmono, p);
     }
     Py_END_ALLOW_THREADS
     res = int_list(out, npts);
 done:
-    PyMem_Free(cc); PyMem_Free(ee); PyMem_Free(pts); PyMem_Free(out); PyMem_Free(pw);
+    PyMem_Free(cc); PyMem_Free(ee); PyMem_Free(pts); PyMem_Free(out); PyMem_Free(pw); PyMem_Free(mv);
+    return res;
+}
+
+/* Rank and determinant mod p of a rows x cols matrix of forms at each point.
+ * The entries share the monomials of exps_flat; coeffs holds the
+ * coefficients of each entry in turn, row by row.  Per point the monomial
+ * values are computed once, every entry is evaluated from them and echelon
+ * reduces the result; the determinant is the signed product of the pivots
+ * when the matrix is square and of full rank, and 0 otherwise. */
+static PyObject *form_matrix_scan(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"coeffs", "exps_flat", "rows", "cols", "pts_flat", "p", NULL};
+    PyObject *coeffs_obj, *exps_obj, *pts_obj;
+    int rows, cols;
+    long long p;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOiiOL", kwlist, &coeffs_obj, &exps_obj, &rows, &cols,
+                                     &pts_obj, &p)
+        || check_shape(rows, cols) < 0 || check_modulus(p) < 0)
+        return NULL;
+    Py_ssize_t nmono = PyObject_Length(exps_obj), npts = PyObject_Length(pts_obj);
+    if (nmono < 0 || npts < 0)
+        return NULL;
+    nmono /= 3;
+    npts /= 3;
+    Py_ssize_t nent = (Py_ssize_t)rows * cols;
+    if (nmono && nent > PY_SSIZE_T_MAX / nmono) {
+        /* no sequence holds that many coefficients */
+        PyErr_SetString(PyExc_IndexError, "sequence is shorter than the given shape");
+        return NULL;
+    }
+    PyObject *res = NULL;
+    i64 deg = 0;
+    i64 *cc = NULL, *ee = NULL, *pts = NULL, *pw = NULL, *mv = NULL, *a = NULL, *out = NULL;
+    if (!(cc = read_ints(coeffs_obj, nent * nmono, p)) || !(ee = read_exponents(exps_obj, nmono, &deg))
+        || !(pts = read_ints(pts_obj, 3 * npts, p)) || !(pw = alloc(3 * (deg + 1), sizeof(i64)))
+        || !(mv = alloc(nmono, sizeof(i64))) || !(a = alloc(nent, sizeof(i64)))
+        || !(out = alloc(2 * npts, sizeof(i64))))
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t pt = 0; pt < npts; pt++) {
+        monomial_values(pts + 3 * pt, ee, nmono, deg, p, pw, mv);
+        for (Py_ssize_t e = 0; e < nent; e++)
+            a[e] = dot_mod(cc + e * nmono, mv, nmono, p);
+        int parity;
+        int r = echelon(a, rows, cols, cols, p, NULL, &parity);
+        i64 d = 0;
+        if (rows == cols && r == rows) {
+            d = 1;
+            for (int i = 0; i < rows; i++)
+                d = d * a[(Py_ssize_t)i * cols + i] % p;
+            if (parity)
+                d = p - d;
+        }
+        out[2 * pt] = r;
+        out[2 * pt + 1] = d;
+    }
+    Py_END_ALLOW_THREADS
+    res = int_list(out, 2 * npts);
+done:
+    PyMem_Free(cc); PyMem_Free(ee); PyMem_Free(pts); PyMem_Free(pw); PyMem_Free(mv); PyMem_Free(a);
+    PyMem_Free(out);
     return res;
 }
 
@@ -450,6 +549,10 @@ static PyMethodDef methods[] = {
      "the dual line of each point."},
     {"eval_form_many", (PyCFunction)(void (*)(void))eval_form_many, METH_VARARGS | METH_KEYWORDS,
      "eval_form_many(coeffs, exps_flat, pts_flat, p)\n--\n\nValues of one form at many points."},
+    {"form_matrix_scan", (PyCFunction)(void (*)(void))form_matrix_scan, METH_VARARGS | METH_KEYWORDS,
+     "form_matrix_scan(coeffs, exps_flat, rows, cols, pts_flat, p)\n--\n\n"
+     "Flat list of the rank and the determinant (0 unless square and of full\n"
+     "rank) of a matrix of forms at each point."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -503,9 +503,13 @@ def up_interpolate(field: FieldSpec, xs, ys) -> list:
     """Unique polynomial of degree < len(xs) through the given points."""
     n = len(xs)
     coef = list(ys)
+    inverses = {}  # an equally spaced grid has only n - 1 distinct differences
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = field.div(field.sub(coef[i], coef[i - 1]), field.sub(xs[i], xs[i - j]))
+            d = field.sub(xs[i], xs[i - j])
+            if d not in inverses:
+                inverses[d] = field.inv(d)
+            coef[i] = field.mul(field.sub(coef[i], coef[i - 1]), inverses[d])
     # Newton basis -> monomial basis
     poly = []
     for i in range(n - 1, -1, -1):

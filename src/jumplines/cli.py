@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .algebra import DegenerateInputError, FieldSpec, distinct_degree_profile, up_squarefree_part
+from .algebra import DegenerateInputError, FieldSpec, distinct_degree_profile, prime_field, up_squarefree_part
 from .forms import monoidal_det
 from .geom import PointConfig, random_config
 from .intersect import jumping_length, tangency_degree
@@ -43,13 +43,34 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _field(tag: str) -> FieldSpec:
+    """argparse type of --field: 'q' or 'fp:<p>' with p prime."""
+    try:
+        return FieldSpec.from_tag(tag)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _prime(text: str) -> int:
+    """argparse type of verify's --p: a prime."""
+    try:
+        return prime_field(int(text)).p
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _load_config(args) -> PointConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            return PointConfig.from_json(fh.read())
+            text = fh.read()
+        try:
+            return PointConfig.from_json(text)
+        except KeyError as exc:
+            raise UsageError(f"configuration file {args.config} has no {exc} entry") from None
+        except ValueError as exc:
+            raise UsageError(f"configuration file {args.config}: {exc}") from None
     if getattr(args, "count", None):
-        field = FieldSpec.from_tag(args.field)
-        return random_config(args.count, field, seed=args.seed, retries=args.retries)
+        return random_config(args.count, args.field, seed=args.seed, retries=args.retries)
     raise UsageError("provide --config FILE or --count/--seed/--field")
 
 
@@ -57,7 +78,7 @@ def _add_config_source(sub, with_count=True):
     sub.add_argument("--config", help="configuration JSON file")
     if with_count:
         sub.add_argument("--count", type=int, help="generate: number of points")
-        sub.add_argument("--field", default="fp:101", help="q or fp:<p> (default fp:101)")
+        sub.add_argument("--field", type=_field, default="fp:101", help="q or fp:<p> (default fp:101)")
         sub.add_argument("--seed", type=int, default=1, help="generator seed")
         sub.add_argument("--retries", type=int, default=1000, help="generator retry budget")
 
@@ -68,7 +89,7 @@ def build_parser() -> _Parser:
 
     g = sp.add_parser("gen", help="generate a general-position configuration")
     g.add_argument("--count", type=int, required=True)
-    g.add_argument("--field", default="fp:101")
+    g.add_argument("--field", type=_field, default="fp:101")
     g.add_argument("--seed", type=int, default=1)
     g.add_argument("--retries", type=int, default=1000)
     g.add_argument("--out", default=None)
@@ -99,7 +120,7 @@ def build_parser() -> _Parser:
     ve = sp.add_parser("verify", help="run the full verification suite")
     ve.add_argument("--seeds", default=",".join(str(s) for s in SHIPPED_SEEDS),
                     help="comma-separated seed list")
-    ve.add_argument("--p", type=int, default=101)
+    ve.add_argument("--p", type=_prime, default=101)
     ve.add_argument("--threads", type=int, default=1)
     ve.add_argument("--trials", type=int, default=4, help="curves intersected in the base-locus check")
     ve.add_argument("--out", default=None)
@@ -112,8 +133,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    field = FieldSpec.from_tag(args.field)
-    cfg = random_config(args.count, field, seed=args.seed, retries=args.retries)
+    cfg = random_config(args.count, args.field, seed=args.seed, retries=args.retries)
     _write(args.out, cfg.to_json())
     return 0
 

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import kernels
 from .algebra import (
     DegenerateInputError,
     FieldSpec,
@@ -322,28 +323,45 @@ def _form_det_direct(field: FieldSpec, a) -> HForm:
     return minors[tuple(range(n))]
 
 
+def scan_form_matrix(field: FieldSpec, a, flat) -> list:
+    """Rank and determinant mod p of the matrix of forms a at many points.
+
+    One kernel call for the points given as one flat list of coordinates;
+    returns the kernel's flat list of (rank, determinant) pairs, with the
+    determinant 0 unless a is square and of full rank.  The entries must
+    share one degree.
+    """
+    if field.kind != "fp":
+        raise ValueError("batch evaluation needs a prime field")
+    degrees = {f.degree for row in a for f in row}
+    if len(degrees) != 1:
+        raise ValueError(f"entries of a matrix of forms must share one degree, got {sorted(degrees)}")
+    exps = [v for e in monomials(degrees.pop()) for v in e]
+    coeffs = [int(c) for row in a for f in row for c in f.coeffs]
+    return kernels.form_matrix_scan(coeffs, exps, len(a), len(a[0]), flat, field.p)
+
+
 def _form_det_interpolated(field: FieldSpec, a, total_deg: int) -> HForm:
     """Determinant by evaluation on a deterministic affine grid.
 
-    Evaluates at (1, s, t) for s, t in a (D+1) x (D+1) grid, takes scalar
-    determinants, interpolates the bivariate dehomogenization and lifts it
-    back to a form of the known total degree.
+    Takes scalar determinants at (1, s, t) for s, t in a (D+1) x (D+1) grid
+    (over F_p in one kernel call), interpolates the bivariate
+    dehomogenization and lifts it back to a form of the known total degree.
     """
-    n = len(a)
     D = total_deg
     p = field.characteristic()
     if 0 < p <= D:
-        raise ValueError(f"interpolation grid needs p > {D}")
+        raise DegenerateInputError(
+            f"field {field.tag} too small to interpolate a determinant of degree {D} (needs p > {D})"
+        )
     svals = [field.of(i) for i in range(D + 1)]
     tvals = [field.of(i) for i in range(D + 1)]
-    per_s = []
-    for s in svals:
-        dets = []
-        for t in tvals:
-            pt = (field.one, s, t)
-            m = Mat.from_rows([[hf_eval(field, a[i][j], pt) for j in range(n)] for i in range(n)])
-            dets.append(det(field, m))
-        per_s.append(up_interpolate(field, tvals, dets))
+    grid = [(field.one, s, t) for s in svals for t in tvals]
+    if field.kind == "fp":
+        dets = scan_form_matrix(field, a, [c for pt in grid for c in pt])[1::2]
+    else:
+        dets = [det(field, Mat.from_rows([[hf_eval(field, f, pt) for f in row] for row in a])) for pt in grid]
+    per_s = [up_interpolate(field, tvals, dets[i * (D + 1) : (i + 1) * (D + 1)]) for i in range(D + 1)]
     coeffs = {}
     for tk in range(D + 1):
         column = [per_s[i][tk] if tk < len(per_s[i]) else field.zero for i in range(D + 1)]

@@ -49,6 +49,7 @@ from .forms import (
     monomials,
     monoidal_det,
     monoidal_matrix,
+    scan_form_matrix,
     sylvester_resultant,
     binary_form_to_upoly,
 )
@@ -79,13 +80,12 @@ def rank_drops(field: FieldSpec, rows, pts) -> list:
 
     The fat-point test: with a system's order-k partials as rows and its
     members as columns, the rank drops at x iff some member has all order-k
-    partials zero at x.
+    partials zero at x.  One kernel call evaluates and ranks at every point;
+    the entries must share one degree.
     """
     flat = [int(c) for pt in pts for c in pt]
     q = len(rows[0])
-    vals = [eval_form_on_points(field, entry, flat) for row in rows for entry in row]
-    rank_mod_p = kernels.impl_for(field.p).rank_mod_p  # one lookup for the whole scan
-    return [rank_mod_p(at, len(rows), q, field.p) < q for at in zip(*vals)]
+    return [r < q for r in scan_form_matrix(field, rows, flat)[0::2]]
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,10 @@ def eval_form_many(coeffs, exps_flat, pts_flat, p: int):
     return impl_for(p).eval_form_many(coeffs, exps_flat, pts_flat, p)
 
 
+def form_matrix_scan(coeffs, exps_flat, rows: int, cols: int, pts_flat, p: int):
+    return impl_for(p).form_matrix_scan(coeffs, exps_flat, rows, cols, pts_flat, p)
+
+
 def backends():
     """All importable backends, for tests and benchmarks."""
     out = {"pure": _pure}

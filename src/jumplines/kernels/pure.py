@@ -11,15 +11,17 @@ from __future__ import annotations
 BACKEND = "pure"
 
 
-def _echelon(a, rows: int, width: int, pcols: int, p: int, reduced: bool = False) -> list:
+def _echelon(a, rows: int, width: int, pcols: int, p: int, reduced: bool = False):
     """Row-reduce the row lists a (residues mod p) in place.
 
     Pivots on the first pcols columns in order and applies every row
     operation to the whole width; only the rows below each pivot are cleared,
     unless `reduced`, which scales pivot rows to 1 and clears above as well
-    (reduced row echelon form).  Returns the pivot columns.
+    (reduced row echelon form).  Returns the pivot columns and the parity of
+    the number of row swaps.
     """
     piv = []
+    parity = 0
     for c in range(pcols):
         r = len(piv)
         if r == rows:
@@ -29,7 +31,9 @@ def _echelon(a, rows: int, width: int, pcols: int, p: int, reduced: bool = False
             sel += 1
         if sel == rows:
             continue
-        a[r], a[sel] = a[sel], a[r]
+        if sel != r:
+            a[r], a[sel] = a[sel], a[r]
+            parity ^= 1
         prow = a[r]
         inv = pow(prow[c], p - 2, p)
         if reduced:
@@ -42,12 +46,12 @@ def _echelon(a, rows: int, width: int, pcols: int, p: int, reduced: bool = False
                 for j in range(c, width):
                     ai[j] = (ai[j] - f * prow[j]) % p
         piv.append(c)
-    return piv
+    return piv, parity
 
 
 def rank_mod_p(flat, rows: int, cols: int, p: int) -> int:
     a = [[v % p for v in flat[i * cols : (i + 1) * cols]] for i in range(rows)]
-    return len(_echelon(a, rows, cols, cols, p))
+    return len(_echelon(a, rows, cols, cols, p)[0])
 
 
 def _staircase_level(m0, m1, rows: int, cols: int, p: int):
@@ -58,7 +62,7 @@ def _staircase_level(m0, m1, rows: int, cols: int, p: int):
     one less than the remaining ones of this pencil.
     """
     r0 = [row[:] for row in m0]
-    piv = _echelon(r0, rows, cols, cols, p, reduced=True)
+    piv = _echelon(r0, rows, cols, cols, p, reduced=True)[0]
     rho = len(piv)
     free = [j for j in range(cols) if j not in piv]
     nu = len(free)
@@ -69,7 +73,7 @@ def _staircase_level(m0, m1, rows: int, cols: int, p: int):
         row1 = m1[i]
         x = [(row1[f] - sum(r0[t][f] * row1[piv[t]] for t in range(rho))) % p for f in free]
         aug.append(x + [m0[i][j] for j in piv] + [row1[j] for j in piv])
-    mu = len(_echelon(aug, rows, nu + 2 * rho, nu, p))
+    mu = len(_echelon(aug, rows, nu + 2 * rho, nu, p)[0])
     rest = aug[mu:]
     return nu, mu, [row[nu : nu + rho] for row in rest], [row[nu + rho :] for row in rest]
 
@@ -147,29 +151,71 @@ def splitting_scan(a0, a1, a2, rows: int, cols: int, pts_flat, p: int):
     return out
 
 
+MAX_EXP = 1 << 20
+
+
+def _exponents(exps_flat, nmono: int):
+    """The first nmono exponent triples, each exponent in [0, 2**20], and
+    their largest total degree."""
+    if len(exps_flat) < 3 * nmono:
+        raise IndexError("sequence is shorter than the given shape")
+    exps = [tuple(exps_flat[3 * i : 3 * i + 3]) for i in range(nmono)]
+    if any(not 0 <= v <= MAX_EXP for e in exps for v in e):
+        raise ValueError("exponents must lie in [0, 2**20]")
+    return exps, max((sum(e) for e in exps), default=0)
+
+
+def _monomial_values(x0: int, x1: int, x2: int, exps, deg: int, p: int) -> list:
+    """Values of the monomials with exponent triples exps at the point x."""
+    px, py, pz = [1] * (deg + 1), [1] * (deg + 1), [1] * (deg + 1)
+    for i in range(1, deg + 1):
+        px[i] = px[i - 1] * x0 % p
+        py[i] = py[i - 1] * x1 % p
+        pz[i] = pz[i - 1] * x2 % p
+    return [px[a] * py[b] % p * pz[c] % p for a, b, c in exps]
+
+
 def eval_form_many(coeffs, exps_flat, pts_flat, p: int):
     """Evaluate one form (coefficients + flat exponent triples) at many points."""
-    nmono = len(coeffs)
-    npts = len(pts_flat) // 3
-    deg = 0
-    for i in range(nmono):
-        deg = max(deg, exps_flat[3 * i] + exps_flat[3 * i + 1] + exps_flat[3 * i + 2])
-    out = [0] * npts
-    for n in range(npts):
-        x = pts_flat[3 * n] % p
-        y = pts_flat[3 * n + 1] % p
-        z = pts_flat[3 * n + 2] % p
-        px = [1] * (deg + 1)
-        py = [1] * (deg + 1)
-        pz = [1] * (deg + 1)
-        for i in range(1, deg + 1):
-            px[i] = px[i - 1] * x % p
-            py[i] = py[i - 1] * y % p
-            pz[i] = pz[i - 1] * z % p
-        acc = 0
-        for i in range(nmono):
-            c = coeffs[i] % p
-            if c:
-                acc = (acc + c * (px[exps_flat[3 * i]] * py[exps_flat[3 * i + 1]] % p) % p * pz[exps_flat[3 * i + 2]]) % p
-        out[n] = acc
+    exps, deg = _exponents(exps_flat, len(coeffs))
+    terms = [(k, c % p) for k, c in enumerate(coeffs) if c % p]
+    out = []
+    for n in range(len(pts_flat) // 3):
+        mv = _monomial_values(pts_flat[3 * n] % p, pts_flat[3 * n + 1] % p, pts_flat[3 * n + 2] % p, exps, deg, p)
+        out.append(sum(c * mv[k] for k, c in terms) % p)
+    return out
+
+
+def form_matrix_scan(coeffs, exps_flat, rows: int, cols: int, pts_flat, p: int):
+    """Rank and determinant of a rows x cols matrix of forms at each point.
+
+    The entries share the monomials of exps_flat; coeffs holds the
+    coefficients of each entry in turn, row by row.  Returns a flat list of
+    2 * npoints ints: per point the rank of the evaluated matrix and its
+    determinant, which is 0 unless the matrix is square and of full rank.
+    """
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be non-negative")
+    nmono = len(exps_flat) // 3
+    exps, deg = _exponents(exps_flat, nmono)
+    if len(coeffs) < rows * cols * nmono:
+        raise IndexError("sequence is shorter than the given shape")
+    entries = [
+        [(k, c % p) for k, c in enumerate(coeffs[e * nmono : (e + 1) * nmono]) if c % p]
+        for e in range(rows * cols)
+    ]
+    out = []
+    for n in range(len(pts_flat) // 3):
+        mv = _monomial_values(pts_flat[3 * n] % p, pts_flat[3 * n + 1] % p, pts_flat[3 * n + 2] % p, exps, deg, p)
+        vals = [sum(c * mv[k] for k, c in terms) % p for terms in entries]
+        a = [vals[i * cols : (i + 1) * cols] for i in range(rows)]
+        piv, parity = _echelon(a, rows, cols, cols, p)
+        d = 0
+        if rows == cols and len(piv) == rows:
+            d = 1
+            for i in range(rows):
+                d = d * a[i][i] % p
+            if parity:
+                d = p - d
+        out += (len(piv), d)
     return out

@@ -34,6 +34,32 @@ def test_usage_errors(capsys):
         code3, _, err3 = run(capsys, command, "--count", "6", "--field", "q", "--seed", "1")
         assert code3 == 1
         assert "prime field" in err3
+    # a bad field is a usage error on every command that takes one
+    for argv in (
+        ("gen", "--count", "5", "--field", "fp:4"),
+        ("jump", "--count", "6", "--field", "zz"),
+        ("monoidal", "--count", "5", "--field", "fp:x"),
+        ("verify", "--p", "4"),
+    ):
+        code4, _, err4 = run(capsys, *argv)
+        assert code4 == 1, argv
+        assert err4.startswith("usage error: argument --"), argv
+
+
+def test_config_with_a_bad_field_is_a_usage_error(tmp_path, capsys):
+    cfgp = tmp_path / "bad.json"
+    cfgp.write_text(json.dumps({"field": "fp:9", "points": [[1, 0, 0]]}))
+    for command in ("jump", "monoidal", "gamma", "pencil4", "render"):
+        code, _, err = run(capsys, command, "--config", str(cfgp))
+        assert code == 1, command
+        assert err == f"usage error: configuration file {cfgp}: 9 is not prime\n"
+
+
+def test_field_too_small_for_the_interpolation_grid(capsys):
+    for argv in (("jump", "--count", "11", "--field", "fp:17"), ("monoidal", "--count", "11", "--field", "fp:13")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("degenerate input: field " + argv[-1]) and "degree 20" in err
 
 
 def test_unknown_command_exit_code(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jumplines import kernels
 from jumplines.algebra import DegenerateInputError, RATIONALS, prime_field, rank
 from jumplines.forms import (
     HForm,
@@ -254,6 +255,28 @@ def test_form_det_direct_vs_interpolated():
         direct = _form_det_direct(F101, a)
         interp = _form_det_interpolated(F101, a, 2 * size)
         assert direct == interp
+
+
+@pytest.mark.parametrize("backend", sorted(kernels.backends()))
+def test_form_det_interpolated_from_kernel_determinants(monkeypatch, backend):
+    # over F_p the grid determinants come from one kernel call
+    monkeypatch.setattr(kernels, "_impl", kernels.backends()[backend])
+    rng = random.Random(23)
+    for size in (5, 6):
+        a = [[rand_form(F101, rng, 2) for _ in range(size)] for _ in range(size)]
+        assert _form_det_interpolated(F101, a, 2 * size) == _form_det_direct(F101, a)
+
+
+def test_form_det_interpolated_over_q():
+    rng = random.Random(29)
+    a = [[rand_form(RATIONALS, rng, 2) for _ in range(3)] for _ in range(3)]
+    assert _form_det_interpolated(RATIONALS, a, 6) == _form_det_direct(RATIONALS, a)
+
+
+def test_interpolation_grid_too_small_is_degenerate():
+    a = [[rand_form(prime_field(13), random.Random(1), 2) for _ in range(10)] for _ in range(10)]
+    with pytest.raises(DegenerateInputError, match="fp:13 .* degree 20"):
+        _form_det_interpolated(prime_field(13), a, 20)
 
 
 def test_gamma_minors_eight_points():

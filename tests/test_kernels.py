@@ -7,14 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from jumplines.algebra import RATIONALS, Mat, mat_mul, prime_field, rank
-from jumplines.forms import HForm, basis_size, hf_eval, monomials
+from jumplines.algebra import RATIONALS, Mat, det, mat_mul, prime_field, rank
+from jumplines.forms import HForm, basis_size, hf_add, hf_eval, hf_mul, hf_zero, monomials
 from jumplines.geom import plane_points, random_config
+from jumplines.jumping import rank_drops
 from jumplines.kernels import (
     BACKEND,
     COMPILED_P_LIMIT,
     backends,
     eval_form_many,
+    form_matrix_scan,
     impl_for,
     pencil_kernel_degrees,
     rank_mod_p,
@@ -284,8 +286,99 @@ def test_kernels_reject_malformed_input():
         compiled.rank_mod_p([1, 2, 3], 2, 2, 101)
 
 
+def _random_forms(rng, rows, cols, d, p):
+    return [[HForm(d, tuple(rng.randrange(p) for _ in range(basis_size(d)))) for _ in range(cols)] for _ in range(rows)]
+
+
+def _low_rank_forms(rng, rows, cols, k, p):
+    """A rows x cols matrix of quadrics of rank <= k at every point: (rows x k)(k x cols) of linear forms."""
+    field = prime_field(p)
+    u, v = _random_forms(rng, rows, k, 1, p), _random_forms(rng, k, cols, 1, p)
+    out = [[hf_zero(field, 2) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for t in range(k):
+                out[i][j] = hf_add(field, out[i][j], hf_mul(field, u[i][t], v[t][j]))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, COMPILED_P_LIMIT - 1, LARGE_P])
+def test_form_matrix_scan_matches_generic_linalg(p):
+    # rank and determinant of the evaluated matrix, as algebra computes them
+    # from hf_eval; LARGE_P runs on the pure twin whatever the backend
+    field = prime_field(p)
+    rng = random.Random(p)
+    impls = [impl for impl in IMPLS.values() if p < COMPILED_P_LIMIT or impl.BACKEND == "pure"]
+    for trial in range(24):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        if trial % 2 and rows and cols:
+            a = _low_rank_forms(rng, rows, cols, rng.randint(1, min(rows, cols)), p)
+        else:
+            a = _random_forms(rng, rows, cols, rng.randint(0, 3), p)
+        d = a[0][0].degree if rows and cols else 0
+        exps = [v for e in monomials(d) for v in e]
+        # the same residues written as negative and as wider-than-64-bit ints
+        coeffs = [int(c) + rng.choice((-1, 1, 2**70)) * p for row in a for f in row for c in f.coeffs]
+        pts = [(rng.randrange(p), rng.randrange(p), 1) for _ in range(6)] + [(1, 0, 0), (rng.randrange(p), 1, 0)]
+        flat = [c for pt in pts for c in pt]
+        outs = [[int(v) for v in impl.form_matrix_scan(coeffs, exps, rows, cols, flat, p)] for impl in impls]
+        assert form_matrix_scan(coeffs, exps, rows, cols, flat, p) == outs[0]
+        assert all(o == outs[0] for o in outs)
+        for i, pt in enumerate(pts):
+            m = Mat(rows, cols, tuple(hf_eval(field, f, pt) for row in a for f in row))
+            r = rank(field, m) if rows and cols else 0
+            full_square = rows == cols and r == rows
+            assert outs[0][2 * i : 2 * i + 2] == [r, det(field, m) if full_square else 0]
+
+
+def test_kernels_sum_products_near_the_compiled_limit():
+    # 28 products of residues near 2**31 overflow a 64-bit sum unless it is
+    # reduced on the way; a 1 x 1 matrix's determinant is its entry's value
+    p = COMPILED_P_LIMIT - 1
+    field = prime_field(p)
+    rng = random.Random(5)
+    f = HForm(6, tuple(p - 1 - rng.randrange(1000) for _ in range(basis_size(6))))
+    exps = [v for e in monomials(6) for v in e]
+    pts = [(rng.randrange(p), rng.randrange(p), rng.randrange(1, p)) for _ in range(20)]
+    flat = [c for pt in pts for c in pt]
+    want = [hf_eval(field, f, pt) for pt in pts]
+    for impl in IMPLS.values():
+        assert [int(v) for v in impl.eval_form_many(list(f.coeffs), exps, flat, p)] == want
+        out = [int(v) for v in impl.form_matrix_scan(list(f.coeffs), exps, 1, 1, flat, p)]
+        assert out[1::2] == want and out[0::2] == [int(v != 0) for v in want]
+
+
+def test_form_matrix_scan_rejects_malformed_input():
+    exps = [2, 0, 0, 1, 1, 0]
+    for impl in IMPLS.values():
+        with pytest.raises(ValueError, match="non-negative"):
+            impl.form_matrix_scan([], exps, -1, 2, [0, 0, 1], 101)
+        with pytest.raises(ValueError, match="exponents"):
+            impl.form_matrix_scan([1, 1], [0, -1, 1], 1, 2, [0, 0, 1], 101)
+        with pytest.raises(ValueError, match="exponents"):
+            impl.form_matrix_scan([1], [2**20 + 1, 0, 0], 1, 1, [0, 0, 1], 101)
+        with pytest.raises(IndexError):
+            impl.form_matrix_scan([1, 2, 3], exps, 1, 2, [0, 0, 1], 101)
+    compiled = IMPLS.get("compiled")
+    if compiled is not None:
+        for p in (1, COMPILED_P_LIMIT):
+            with pytest.raises(ValueError, match="modulus"):
+                compiled.form_matrix_scan([1], [0, 0, 1], 1, 1, [0, 0, 1], p)
+
+
+def test_rank_drops_rejects_mixed_degrees():
+    rows = [[hf_zero(F101, 2), hf_zero(F101, 1)]]
+    with pytest.raises(ValueError, match="one degree"):
+        rank_drops(F101, rows, [(0, 0, 1)])
+
+
 def test_selected_backend_exports():
     flat = [1, 0, 0, 1]
     assert rank_mod_p(flat, 2, 2, 101) == 2
     vals = eval_form_many([1], [0, 0, 1], [0, 0, 1, 4, 5, 1], 101)
     assert [int(v) for v in vals] == [1, 1]
+    # [[x, y], [z, x]] at (1, 2, 3), (2, 4, 6) and (0, 2, 3), the last after
+    # a row swap: determinant x^2 - yz
+    out = form_matrix_scan([1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1], 2, 2,
+                           [1, 2, 3, 2, 4, 6, 0, 2, 3], 101)
+    assert [int(v) for v in out] == [2, 96, 2, 81, 2, 95]
