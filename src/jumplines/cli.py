@@ -59,6 +59,28 @@ def _prime(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive(text: str) -> int:
+    """argparse type of counts, budgets and sizes: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
+    return value
+
+
+def _seed_list(text: str) -> tuple:
+    """argparse type of verify's --seeds: comma-separated integers, at least one."""
+    try:
+        seeds = tuple(int(s) for s in text.split(",") if s)
+    except ValueError:
+        seeds = ()
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"want comma-separated integers, got {text!r}")
+    return seeds
+
+
 def _load_config(args) -> PointConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -77,10 +99,10 @@ def _load_config(args) -> PointConfig:
 def _add_config_source(sub, with_count=True):
     sub.add_argument("--config", help="configuration JSON file")
     if with_count:
-        sub.add_argument("--count", type=int, help="generate: number of points")
+        sub.add_argument("--count", type=_positive, help="generate: number of points")
         sub.add_argument("--field", type=_field, default="fp:101", help="q or fp:<p> (default fp:101)")
         sub.add_argument("--seed", type=int, default=1, help="generator seed")
-        sub.add_argument("--retries", type=int, default=1000, help="generator retry budget")
+        sub.add_argument("--retries", type=_positive, default=1000, help="generator retry budget")
 
 
 def build_parser() -> _Parser:
@@ -88,16 +110,16 @@ def build_parser() -> _Parser:
     sp = ap.add_subparsers(dest="command", required=True)
 
     g = sp.add_parser("gen", help="generate a general-position configuration")
-    g.add_argument("--count", type=int, required=True)
+    g.add_argument("--count", type=_positive, required=True)
     g.add_argument("--field", type=_field, default="fp:101")
     g.add_argument("--seed", type=int, default=1)
-    g.add_argument("--retries", type=int, default=1000)
+    g.add_argument("--retries", type=_positive, default=1000)
     g.add_argument("--out", default=None)
 
     j = sp.add_parser("jump", help="exhaustive jumping-line scan over the plane")
     _add_config_source(j)
     j.add_argument("--format", choices=("json", "csv"), default="json")
-    j.add_argument("--threads", type=int, default=1)
+    j.add_argument("--threads", type=_positive, default=1)
     j.add_argument("--out", default=None)
 
     mo = sp.add_parser("monoidal", help="monoidal determinant of an odd configuration")
@@ -118,16 +140,16 @@ def build_parser() -> _Parser:
     de.add_argument("--out", default=None)
 
     ve = sp.add_parser("verify", help="run the full verification suite")
-    ve.add_argument("--seeds", default=",".join(str(s) for s in SHIPPED_SEEDS),
+    ve.add_argument("--seeds", type=_seed_list, default=",".join(str(s) for s in SHIPPED_SEEDS),
                     help="comma-separated seed list")
     ve.add_argument("--p", type=_prime, default=101)
-    ve.add_argument("--threads", type=int, default=1)
-    ve.add_argument("--trials", type=int, default=4, help="curves intersected in the base-locus check")
+    ve.add_argument("--threads", type=_positive, default=1)
+    ve.add_argument("--trials", type=_positive, default=4, help="curves intersected in the base-locus check")
     ve.add_argument("--out", default=None)
 
     re = sp.add_parser("render", help="SVG picture of a rational configuration")
     _add_config_source(re)
-    re.add_argument("--grid", type=int, default=160)
+    re.add_argument("--grid", type=_positive, default=160)
     re.add_argument("--out", default=None)
     return ap
 
@@ -215,11 +237,10 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s)
-    results, bundles = run_all(seeds=seeds, p=args.p, threads=args.threads, trials=args.trials)
+    results, bundles = run_all(seeds=args.seeds, p=args.p, threads=args.threads, trials=args.trials)
     lines = [r.line() for r in results]
     report = {
-        "seeds": list(seeds),
+        "seeds": list(args.seeds),
         "p": args.p,
         "reseeds": {b.seed: b.report.reseeds for b in bundles if b.report.reseeds},
         "criteria": [

@@ -12,10 +12,9 @@ and by resultant elimination.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
+from array import array
 from dataclasses import dataclass
 
 from . import kernels
@@ -54,7 +53,7 @@ from .forms import (
     binary_form_to_upoly,
 )
 from .geom import PointConfig, Point, normalize_point, plane_points, validate_config
-from .steiner import generic_eps1, splitting_scan, steiner_pencil
+from .steiner import generic_eps1, splitting_columns, steiner_pencil
 
 
 class VerificationError(AssertionError):
@@ -139,12 +138,42 @@ class PointRecord:
     in_gamma: bool
 
 
+# one report row (x0, x1, x2, eps1, eps2, order, in_z, in_gamma), written as
+# json.dumps(indent=2) writes a list of ints inside the "records" list, and
+# as csv.writer writes it
+_JSON_ROW = "    [\n" + ",\n".join(["      %d"] * 8) + "\n    ]"
+_CSV_ROW = ",".join(["%d"] * 8) + "\n"
+_CSV_HEADER = "x0,x1,x2,eps1,eps2,order,in_z,in_gamma\n"
+
+
+def _order_column(m: int, eps1) -> list:
+    """Jumping order at each point: how far eps1 falls below its generic value."""
+    top = generic_eps1(m)
+    return [top - e for e in eps1]
+
+
+def _rows_of(points, marked) -> list:
+    """Indices, ascending, of the points that lie in `marked`."""
+    marked = set(marked)
+    return [i for i, pt in enumerate(points) if pt in marked]
+
+
 @dataclass
 class JumpingReport:
+    """A full-plane scan, kept as columns: row i is `points[i]` with its
+    splitting type (`eps1[i]`, `eps2[i]`).
+
+    The jumping order and the Z and Gamma flags of each row are derived from
+    the configuration and `gamma`; `records` builds one `PointRecord` per row
+    for readers that want objects.
+    """
+
     config: PointConfig
     epsilon: int  # 1 for an even configuration (finite jumping scheme), 0 otherwise
     n: int
-    records: tuple
+    points: list  # the scanned plane points, in scan order
+    eps1: array
+    eps2: array
     gamma: tuple
     counts: dict
     verdicts: dict
@@ -154,6 +183,29 @@ class JumpingReport:
 
     def all_verdicts_true(self) -> bool:
         return all(self.verdicts.values())
+
+    def order(self) -> list:
+        return _order_column(len(self.config), self.eps1)
+
+    def _flags(self, marked) -> bytes:
+        marked = set(marked)
+        return bytes([pt in marked for pt in self.points])
+
+    def in_z(self) -> bytes:
+        return self._flags(self.config.points)
+
+    def in_gamma(self) -> bytes:
+        return self._flags(self.gamma)
+
+    def _columns(self):
+        return zip(self.points, self.eps1, self.eps2, self.order(), self.in_z(), self.in_gamma())
+
+    @property
+    def records(self) -> tuple:
+        return tuple(PointRecord(pt, a, b, o, bool(z), bool(g)) for pt, a, b, o, z, g in self._columns())
+
+    def _formatted_rows(self, template: str) -> list:
+        return [template % (x0, x1, x2, a, b, o, z, g) for (x0, x1, x2), a, b, o, z, g in self._columns()]
 
     def to_json(self) -> str:
         f = self.config.field
@@ -170,21 +222,14 @@ class JumpingReport:
             "verdicts": self.verdicts,
             "witness": list(self.witness) if self.witness is not None else None,
             "gamma": [[f.to_json(c) for c in pt] for pt in self.gamma],
-            "records": [
-                [f.to_json(c) for c in r.point]
-                + [r.eps1, r.eps2, r.order, int(r.in_z), int(r.in_gamma)]
-                for r in self.records
-            ],
+            "records": [],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        head = json.dumps(payload, indent=2)
+        # "records" is the last key: its rows go between the "[" and the "]\n}" closing it
+        return head[:-3] + "\n" + ",\n".join(self._formatted_rows(_JSON_ROW)) + "\n  ]\n}\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["x0", "x1", "x2", "eps1", "eps2", "order", "in_z", "in_gamma"])
-        for r in self.records:
-            w.writerow(list(r.point) + [r.eps1, r.eps2, r.order, int(r.in_z), int(r.in_gamma)])
-        return buf.getvalue()
+        return _CSV_HEADER + "".join(self._formatted_rows(_CSV_ROW))
 
 
 def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
@@ -193,8 +238,9 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
     Even configuration (2n points): the jumping set must be exactly
     Z union Gamma with orders n-2 and 1.  Odd configuration (2n+1 points):
     the jumping set must be exactly the zero locus of the monoidal
-    determinant.  Any pointwise failure is recorded with a witness and flips
-    the corresponding verdict; nothing fails silently.
+    determinant.  Any pointwise failure flips the corresponding verdict, and
+    the witness is the first plane point, in scan order, that fails a check;
+    nothing fails silently.
     """
     field = cfg.field
     if field.kind != "fp":
@@ -202,75 +248,59 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
     m = len(cfg)
     sp = steiner_pencil(cfg)
     pts = plane_points(field.p)
-    sts = splitting_scan(sp, pts, threads=threads)
-    e1gen = generic_eps1(m)
-    zset = set(cfg.points)
+    eps1, eps2 = splitting_columns(sp, pts, threads=threads)
+    order = _order_column(m, eps1)
+    jumping = {i for i, o in enumerate(order) if o >= 1}
+    zrows = _rows_of(pts, cfg.points)
 
     even = m % 2 == 0
     n = m // 2 if even else (m - 1) // 2
-    records = []
     verdicts: dict = {}
-    witness = None
     counts: dict = {"m": m, "n": n, "p": field.p, "plane_points": len(pts)}
 
     if even:
         gamma, zhits = gamma_scan(cfg) if n > 3 else ([], [])
-        gset = set(gamma)
+        grows = _rows_of(pts, gamma)
         z_order = n - 2
-        ok_set = ok_zorder = ok_gorder = True
-        for pt, st in zip(pts, sts):
-            order = e1gen - st.eps1
-            in_z, in_g = pt in zset, pt in gset
-            records.append(PointRecord(pt, st.eps1, st.eps2, order, in_z, in_g))
-            if (order >= 1) != ((in_z and z_order >= 1) or in_g):
-                ok_set = False
-                witness = witness or pt
-            if in_z and order != z_order:
-                ok_zorder = False
-                witness = witness or pt
-            if in_g and order != 1:
-                ok_gorder = False
-                witness = witness or pt
-        verdicts["jumping_set_is_z_union_gamma"] = ok_set
-        verdicts["order_on_z_is_n_minus_2"] = ok_zorder
-        verdicts["order_on_gamma_is_1"] = ok_gorder
+        bad_set = jumping ^ set(grows + (zrows if z_order >= 1 else []))
+        bad_zorder = {i for i in zrows if order[i] != z_order}
+        bad_gorder = {i for i in grows if order[i] != 1}
+        bad = bad_set | bad_zorder | bad_gorder
+        verdicts["jumping_set_is_z_union_gamma"] = not bad_set
+        verdicts["order_on_z_is_n_minus_2"] = not bad_zorder
+        verdicts["order_on_gamma_is_1"] = not bad_gorder
         verdicts["gamma_disjoint_from_z"] = not zhits
         total, z_part, gamma_part = length_accounting(n)
         counts["gamma_rational"] = len(gamma)
         counts["length_total"] = total
         counts["length_z_part"] = z_part
         counts["length_gamma_part"] = gamma_part
-        counts["jumping_points"] = sum(1 for r in records if r.order >= 1)
         verdicts["length_split_consistent"] = total == z_part + gamma_part
         report_gamma = tuple(gamma)
     else:
         mono = monoidal_det(cfg)
         vals = eval_form_on_points(field, mono, [int(c) for pt in pts for c in pt])
-        ok_set = True
-        for pt, st, v in zip(pts, sts, vals):
-            order = e1gen - st.eps1
-            in_z = pt in zset
-            records.append(PointRecord(pt, st.eps1, st.eps2, order, in_z, False))
-            if (order >= 1) != (v == 0):
-                ok_set = False
-                witness = witness or pt
-        verdicts["jumping_set_is_monoidal_zero_locus"] = ok_set
+        zeros = {i for i, v in enumerate(vals) if v == 0}
+        bad = jumping ^ zeros
+        verdicts["jumping_set_is_monoidal_zero_locus"] = not bad
         # a nonzero determinant of quadric entries has degree n(n-1)
         verdicts["monoidal_degree_is_n_times_n_minus_1"] = not hf_is_zero(field, mono)
         counts["monoidal_degree"] = mono.degree
-        counts["monoidal_zeros"] = sum(1 for v in vals if v == 0)
-        counts["jumping_points"] = sum(1 for r in records if r.order >= 1)
+        counts["monoidal_zeros"] = len(zeros)
         report_gamma = ()
+    counts["jumping_points"] = len(jumping)
 
     return JumpingReport(
         config=cfg,
         epsilon=1 if even else 0,
         n=n,
-        records=tuple(records),
+        points=pts,
+        eps1=eps1,
+        eps2=eps2,
         gamma=report_gamma,
         counts=counts,
         verdicts=verdicts,
-        witness=witness,
+        witness=pts[min(bad)] if bad else None,
     )
 
 
@@ -640,20 +670,21 @@ def lien_equivalence(report: JumpingReport):
     must be equivalent to fat_point_dim(z, x, a, a+1) >= 1 for some a below
     the balanced index floor((m-1)/2).  Configuration points are skipped (the
     ideal-sheaf translation of the jumping test is only valid away from Z).
-    Returns (ok, witness), the first failing point in record order.
+    Returns (ok, witness), the first failing point in scan order.
     """
     cfg = report.config
     field = cfg.field
     top = generic_eps1(len(cfg))
     if 0 < field.characteristic() <= top:
         raise ValueError("jet reduction needs characteristic 0 or p > degree")
-    records = [r for r in report.records if not r.in_z]
-    pts = [r.point for r in records]
+    keep = [i for i, z in enumerate(report.in_z()) if not z]
+    order = report.order()
+    pts = [report.points[i] for i in keep]
     fat = [False] * len(pts)
     for a in range(1, top):
         system = curves_through(cfg, a + 1)
         if system.dim():
             drops = rank_drops(field, _symbolic_jet_rows(field, system, a - 1), pts)
             fat = [f or d for f, d in zip(fat, drops)]
-    witness = next((r.point for r, f in zip(records, fat) if (r.order >= 1) != f), None)
+    witness = next((pt for pt, i, f in zip(pts, keep, fat) if (order[i] >= 1) != f), None)
     return witness is None, witness

@@ -10,9 +10,9 @@ restricted pencil decides whether the dual line of x is a jumping line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import json
+from array import array
+from dataclasses import dataclass
 
 from . import kernels
 from .algebra import DegenerateInputError, FieldSpec, Mat, mat_inverse, rank, rref
@@ -238,9 +238,10 @@ def jumping_order(sp: SteinerPencil, x: Point) -> int:
     return generic_eps1(sp.m) - st.eps1
 
 
-def splitting_scan(sp: SteinerPencil, points, threads: int = 1):
-    """Splitting types at many points (prime fields only).
+def splitting_columns(sp: SteinerPencil, points, threads: int = 1):
+    """(eps1, eps2) columns of the splitting types at many points (prime fields only).
 
+    Two `array('i')` columns, one entry per point, in the order of `points`.
     Deterministic regardless of thread count: the point list is chunked in
     order and the per-chunk results are concatenated in order.
     """
@@ -265,4 +266,11 @@ def splitting_scan(sp: SteinerPencil, points, threads: int = 1):
         chunks = [pts_flat[i : i + step] for i in range(0, len(pts_flat), step)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             raw = [v for part in pool.map(run, chunks) for v in part]
-    return [SplittingType(int(raw[2 * i]) + 1, int(raw[2 * i + 1]) + 1) for i in range(len(points))]
+    # the kernel returns raw kernel degrees; the twist shifts each by one
+    return array("i", [d + 1 for d in raw[0::2]]), array("i", [d + 1 for d in raw[1::2]])
+
+
+def splitting_scan(sp: SteinerPencil, points, threads: int = 1):
+    """Splitting types at many points (prime fields only), from `splitting_columns`."""
+    eps1, eps2 = splitting_columns(sp, points, threads)
+    return [SplittingType(a, b) for a, b in zip(eps1, eps2)]

@@ -44,6 +44,27 @@ def test_usage_errors(capsys):
         code4, _, err4 = run(capsys, *argv)
         assert code4 == 1, argv
         assert err4.startswith("usage error: argument --"), argv
+    # counts, budgets, sizes and seed lists are checked when parsed
+    for argv in (
+        ("jump", "--count", "-1"),
+        ("jump", "--count", "0"),
+        ("gen", "--count", "0"),
+        ("gen", "--count", "6", "--retries", "0"),
+        ("gamma", "--count", "8", "--retries", "-2"),
+        ("jump", "--count", "6", "--threads", "0"),
+        ("jump", "--count", "6", "--threads", "-3"),
+        ("jump", "--count", "six"),
+        ("verify", "--seeds", "x"),
+        ("verify", "--seeds", "1,x"),
+        ("verify", "--seeds", ""),
+        ("verify", "--threads", "0"),
+        ("verify", "--trials", "0"),
+        ("render", "--count", "5", "--field", "q", "--grid", "0"),
+    ):
+        code5, out5, err5 = run(capsys, *argv)
+        assert code5 == 1, argv
+        assert err5.startswith(f"usage error: argument {argv[-2]}: want "), (argv, err5)
+        assert out5 == "", argv
 
 
 def test_config_with_a_bad_field_is_a_usage_error(tmp_path, capsys):

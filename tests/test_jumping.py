@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import random
 
@@ -12,7 +14,16 @@ from jumplines.algebra import (
     up_squarefree_part,
 )
 from jumplines import kernels
-from jumplines.forms import curves_through, hf_eval, hf_partial, hf_zero, monoidal_det, monoidal_matrix
+from jumplines.forms import (
+    HForm,
+    curves_through,
+    hf_eval,
+    hf_mul,
+    hf_partial,
+    hf_zero,
+    monoidal_det,
+    monoidal_matrix,
+)
 from jumplines.geom import normalize_point, plane_points, random_config
 from jumplines.jumping import (
     VerificationError,
@@ -30,7 +41,7 @@ from jumplines.jumping import (
     pinceau_factorization,
     rank_drops,
 )
-from jumplines.steiner import jumping_order, steiner_pencil
+from jumplines.steiner import generic_eps1, jumping_order, steiner_pencil
 
 F101 = prime_field(101)
 
@@ -128,6 +139,92 @@ def test_report_serialization_deterministic(cfg8):
     assert len(payload["records"]) == 101 * 101 + 101 + 1
     header = a.to_csv().splitlines()[0]
     assert header == "x0,x1,x2,eps1,eps2,order,in_z,in_gamma"
+
+
+def _stdlib_serializations(rep):
+    """The report's JSON and CSV as json.dumps(indent=2) and csv.writer write
+    them, rebuilt from the columns, the configuration and Gamma alone."""
+    f = rep.config.field
+    top = generic_eps1(len(rep.config))
+    zset, gset = set(rep.config.points), set(rep.gamma)
+    rows = [
+        list(pt) + [a, b, top - a, int(pt in zset), int(pt in gset)]
+        for pt, a, b in zip(rep.points, rep.eps1, rep.eps2)
+    ]
+    payload = {
+        "config": {"field": f.tag, "points": [list(pt) for pt in rep.config.points]},
+        "epsilon": rep.epsilon,
+        "n": rep.n,
+        "seed": rep.seed,
+        "reseeds": rep.reseeds,
+        "counts": rep.counts,
+        "verdicts": rep.verdicts,
+        "witness": list(rep.witness) if rep.witness is not None else None,
+        "gamma": [list(pt) for pt in rep.gamma],
+        "records": rows,
+    }
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["x0", "x1", "x2", "eps1", "eps2", "order", "in_z", "in_gamma"])
+    w.writerows(rows)
+    return json.dumps(payload, indent=2) + "\n", buf.getvalue()
+
+
+def _drop_first_gamma_point(monkeypatch):
+    real = gamma_scan
+
+    def short(cfg):
+        gamma, zhits = real(cfg)
+        return gamma[1:], zhits
+
+    monkeypatch.setattr("jumplines.jumping.gamma_scan", short)
+
+
+@pytest.mark.parametrize("which", ["eight points, Gamma", "seven points", "four points", "witness"])
+def test_report_serializes_as_the_standard_library_does(which, report8, cfg8, gamma8, monkeypatch):
+    if which == "eight points, Gamma":
+        rep = report8
+        assert rep.gamma and rep.witness is None
+    elif which == "seven points":
+        rep = jumping_scan(random_config(7, F101, seed=1))
+    elif which == "four points":
+        rep = jumping_scan(random_config(4, F101, seed=1))
+        assert set(rep.order()) == {0}  # n = 2: order 0 on Z, as everywhere else
+    else:
+        _drop_first_gamma_point(monkeypatch)
+        rep = dataclasses.replace(jumping_scan(cfg8), seed=5, reseeds=2)
+        assert rep.witness == gamma8[0]
+    want_json, want_csv = _stdlib_serializations(rep)
+    assert rep.to_json() == want_json
+    assert rep.to_csv() == want_csv
+
+
+def test_scan_witness_is_a_dropped_gamma_point(cfg8, gamma8, monkeypatch):
+    # a Gamma point the scan does not report still jumps: the set verdict
+    # fails there and nowhere else
+    _drop_first_gamma_point(monkeypatch)
+    rep = jumping_scan(cfg8)
+    assert rep.verdicts["jumping_set_is_z_union_gamma"] is False
+    assert rep.verdicts["order_on_z_is_n_minus_2"] and rep.verdicts["order_on_gamma_is_1"]
+    assert rep.witness == gamma8[0]
+    assert rep.counts["gamma_rational"] == len(gamma8) - 1
+    assert rep.counts["jumping_points"] == 8 + len(gamma8)
+
+
+def test_scan_witness_is_the_first_disagreement_with_the_zero_set(monkeypatch):
+    # multiplying the determinant by a line adds that line to its zero set;
+    # the witness is the first plane point of it where nothing jumps
+    cfg = random_config(7, F101, seed=1)
+    mono = monoidal_det(cfg)
+    line = HForm(1, (1, 2, 3))
+    monkeypatch.setattr("jumplines.jumping.monoidal_det", lambda c: hf_mul(F101, mono, line))
+    rep = jumping_scan(cfg)
+    assert rep.verdicts["jumping_set_is_monoidal_zero_locus"] is False
+    assert rep.verdicts["monoidal_degree_is_n_times_n_minus_1"] is True
+    jumping = {r.point for r in rep.records if r.order >= 1}
+    want = next(pt for pt in plane_points(101) if hf_eval(F101, line, pt) == 0 and pt not in jumping)
+    assert hf_eval(F101, mono, want) != 0
+    assert rep.witness == want
 
 
 def test_length_accounting_values():
@@ -249,12 +346,17 @@ def test_lien_equivalence_six_points(report6):
 
 def test_lien_equivalence_returns_the_flipped_record(report8):
     zset = set(report8.config.points)
-    records = list(report8.records)
-    i = next(i for i, r in enumerate(records) if r.order == 0 and r.point not in zset)
-    records[i] = dataclasses.replace(records[i], order=1)
-    ok, witness = lien_equivalence(dataclasses.replace(report8, records=tuple(records)))
+    order = report8.order()
+    i = next(i for i, pt in enumerate(report8.points) if order[i] == 0 and pt not in zset)
+    # one step down in eps1 (and up in eps2) raises the order there from 0 to 1
+    eps1, eps2 = list(report8.eps1), list(report8.eps2)
+    eps1[i] -= 1
+    eps2[i] += 1
+    flipped = dataclasses.replace(report8, eps1=eps1, eps2=eps2)
+    assert flipped.order()[i] == 1
+    ok, witness = lien_equivalence(flipped)
     assert not ok
-    assert witness == records[i].point
+    assert witness == report8.points[i]
 
 
 def test_monoidal_degree_gate_fails_on_the_zero_form(monkeypatch):

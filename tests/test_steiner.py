@@ -13,6 +13,7 @@ from jumplines.steiner import (
     minimal_indices,
     pencil_nullity,
     restrict_to_dual_line,
+    splitting_columns,
     splitting_scan,
     splitting_type,
     steiner_pencil,
@@ -175,6 +176,8 @@ def test_splitting_scan_matches_pointwise_and_threads(m):
     one = splitting_scan(sp, pts, threads=1)
     thr = splitting_scan(sp, pts, threads=3)
     assert one == thr
+    eps1, eps2 = splitting_columns(sp, pts, threads=3)
+    assert list(zip(eps1, eps2)) == [(st.eps1, st.eps2) for st in one]
     # the second index is computed, not taken from eps1 + eps2 = m - 1
     assert all(st.eps1 + st.eps2 == m - 1 for st in one)
     for x, st in list(zip(pts, one))[:25] + list(zip(pts, one))[120:]:
