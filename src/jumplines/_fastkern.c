@@ -6,6 +6,9 @@
  * column staircase for the minimal indices.  Residues are held in signed
  * 64-bit integers and two of them are multiplied before reducing, so p must
  * be below 2**31; jumplines.kernels sends larger primes to the pure twin.
+ * Products are reduced without a division, by a 128-bit multiply-high, so
+ * the compiler must have 128-bit integers; without them the build fails and
+ * setup.py (optional=True) leaves the pure twins in charge.
  * The point loops run without the GIL, so chunked scans use real threads.
  *
  * Build: python setup.py build_ext --inplace
@@ -14,13 +17,43 @@
 #include <Python.h>
 #include <string.h>
 
+#ifndef __SIZEOF_INT128__
+#error "the compiled kernels need a compiler with 128-bit integers (__int128)"
+#endif
+
 typedef long long i64;
+typedef unsigned long long u64;
+__extension__ typedef unsigned __int128 u128;
 
 #define P_LIMIT (1LL << 31)
 #define MAX_EXP (1LL << 20)
 
 /* pencil_degrees return codes, raised by raise_degrees_error */
 enum { DEG_OK = 0, DEG_RANK_DEFICIENT, DEG_KERNEL_TOO_SMALL, DEG_NOT_FOUND };
+
+/* A kernel call's modulus p with its Barrett constant mu = floor((2**64 - 1) / p). */
+typedef struct {
+    i64 p;
+    u64 mu;
+} modulus;
+
+static modulus make_modulus(i64 p)
+{
+    modulus md = {p, ~0ULL / (u64)p};
+    return md;
+}
+
+/* x mod p without a division (Barrett, CRYPTO '86).  For every x < 2**64 the
+ * quotient estimate floor(x * mu / 2**64) is floor(x / p) or one less, so one
+ * conditional subtraction finishes.  Every caller but dot_mod passes at most
+ * a residue plus a product of two residues, x < p*p + p < 2**63 for
+ * p < 2**31; dot_mod's lazy sums stay below 2**64. */
+static inline i64 mod_p(u64 x, modulus md)
+{
+    u64 p = (u64)md.p;
+    u64 r = x - (u64)(((u128)x * md.mu) >> 64) * p;
+    return (i64)(r >= p ? r - p : r);
+}
 
 static i64 mod_inv(i64 a, i64 p)
 {
@@ -42,8 +75,9 @@ static i64 mod_inv(i64 a, i64 p)
  * echelon form) and the pivot columns are stored in piv.  When parity is
  * not NULL it receives the parity of the number of row swaps.  Returns the
  * rank of the first pcols columns. */
-static int echelon(i64 *a, int rows, int width, int pcols, i64 p, int *piv, int *parity)
+static int echelon(i64 *a, int rows, int width, int pcols, modulus md, int *piv, int *parity)
 {
+    i64 p = md.p;
     if (parity)
         *parity = 0;
     int r = 0;
@@ -66,18 +100,18 @@ static int echelon(i64 *a, int rows, int width, int pcols, i64 p, int *piv, int 
         i64 inv = mod_inv(pr[c], p);
         if (piv) {
             for (int j = c; j < width; j++)
-                pr[j] = pr[j] * inv % p;
+                pr[j] = mod_p(pr[j] * inv, md);
             inv = 1;
             piv[r] = c;
         }
         for (int i = piv ? 0 : r + 1; i < rows; i++) {
             i64 *ri = a + (Py_ssize_t)i * width;
-            i64 f = ri[c] * inv % p;
+            i64 f = mod_p(ri[c] * inv, md);
             if (i == r || f == 0)
                 continue;
             f = p - f;
             for (int j = c; j < width; j++)
-                ri[j] = (ri[j] + f * pr[j]) % p;
+                ri[j] = mod_p(ri[j] + f * pr[j], md);
         }
         r++;
     }
@@ -91,19 +125,26 @@ static int echelon(i64 *a, int rows, int width, int pcols, i64 p, int *piv, int 
  * its mu pivot rows and the nu kernel columns, leaves the pencil of level
  * k + 1, whose indices are the remaining ones less k + 1.
  *
+ * The generic member must have full row rank.  Its probes are the members
+ * (s, t) = (1, 0), (0, 1), (1, 1), (1, 2), (1, 3); the first is B0, whose
+ * rank level 0's RREF gives, so the others run only when B0 is deficient.
+ *
  * work holds 5 * rows * cols residues, iwork 2 * cols ints. */
-static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, i64 p,
+static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, modulus md,
                           int want, i64 *work, int *iwork, i64 *out)
 {
-    static const int probes[5][2] = {{1, 0}, {0, 1}, {1, 1}, {1, 2}, {1, 3}};
+    static const int probes[4][2] = {{0, 1}, {1, 1}, {1, 2}, {1, 3}};
+    i64 p = md.p;
     Py_ssize_t n = (Py_ssize_t)rows * cols;
     i64 *m0 = work, *m1 = work + n, *red = work + 2 * n, *aug = work + 3 * n;
     int *piv = iwork, *freec = iwork + cols;
-    int best = 0;
-    for (int t = 0; t < 5 && best < rows; t++) {
+    memcpy(red, b0, n * sizeof(i64));
+    int rho = echelon(red, rows, cols, cols, md, piv, NULL);
+    int best = rho;
+    for (int t = 0; t < 4 && best < rows; t++) {
         for (Py_ssize_t i = 0; i < n; i++)
-            red[i] = (probes[t][0] * b0[i] + probes[t][1] * b1[i]) % p;
-        int r = echelon(red, rows, cols, cols, p, NULL, NULL);
+            aug[i] = mod_p(probes[t][0] * b0[i] + probes[t][1] * b1[i], md);
+        int r = echelon(aug, rows, cols, cols, md, NULL, NULL);
         if (r > best)
             best = r;
     }
@@ -116,8 +157,10 @@ static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, i64 
     memcpy(m1, b1, n * sizeof(i64));
     int nfound = 0;
     for (int level = 0; nfound < want; level++) {
-        memcpy(red, m0, (Py_ssize_t)rows * cols * sizeof(i64));
-        int rho = echelon(red, rows, cols, cols, p, piv, NULL);
+        if (level > 0) {
+            memcpy(red, m0, (Py_ssize_t)rows * cols * sizeof(i64));
+            rho = echelon(red, rows, cols, cols, md, piv, NULL);
+        }
         int nu = cols - rho;
         if (nu == 0)
             return DEG_NOT_FOUND;
@@ -137,7 +180,7 @@ static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, i64 
                 int f = freec[q];
                 i64 acc = row1[f];
                 for (int t = 0; t < rho; t++)
-                    acc = (acc + (p - red[(Py_ssize_t)t * cols + f]) * row1[piv[t]]) % p;
+                    acc = mod_p(acc + (p - red[(Py_ssize_t)t * cols + f]) * row1[piv[t]], md);
                 a[q] = acc;
             }
             for (int t = 0; t < rho; t++) {
@@ -145,7 +188,7 @@ static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, i64 
                 a[nu + rho + t] = row1[piv[t]];
             }
         }
-        int mu = echelon(aug, rows, width, nu, p, NULL, NULL);
+        int mu = echelon(aug, rows, width, nu, md, NULL, NULL);
         for (int k = nu - mu; k > 0 && nfound < want; k--)
             out[nfound++] = level;
         rows -= mu;
@@ -162,8 +205,9 @@ static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, i64 
 /* The two forms spanning the lines through the point x (residues, not all
  * zero): e_j - (x_j / x_i0) e_i0 for the two j != i0, i0 the first nonzero
  * coordinate.  Returns -1 when x is zero. */
-static int dual_basis(const i64 *x, i64 p, i64 *l0, i64 *l1)
+static int dual_basis(const i64 *x, modulus md, i64 *l0, i64 *l1)
 {
+    i64 p = md.p;
     int i0 = 0;
     while (i0 < 3 && x[i0] == 0)
         i0++;
@@ -176,7 +220,8 @@ static int dual_basis(const i64 *x, i64 p, i64 *l0, i64 *l1)
             continue;
         forms[k][0] = forms[k][1] = forms[k][2] = 0;
         forms[k][j] = 1;
-        forms[k][i0] = (p - x[j] * inv % p) % p;
+        i64 v = mod_p(x[j] * inv, md);
+        forms[k][i0] = v ? p - v : 0;
         k++;
     }
     return 0;
@@ -299,7 +344,7 @@ static PyObject *rank_mod_p(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     int r;
     Py_BEGIN_ALLOW_THREADS
-    r = echelon(a, rows, cols, cols, p, NULL, NULL);
+    r = echelon(a, rows, cols, cols, make_modulus(p), NULL, NULL);
     Py_END_ALLOW_THREADS
     PyMem_Free(a);
     return PyLong_FromLong(r);
@@ -323,7 +368,7 @@ static PyObject *pencil_kernel_degrees(PyObject *self, PyObject *args, PyObject 
     if (out) {
         int rc;
         Py_BEGIN_ALLOW_THREADS
-        rc = pencil_degrees(c0, c1, rows, cols, p, want, work, iwork, out);
+        rc = pencil_degrees(c0, c1, rows, cols, make_modulus(p), want, work, iwork, out);
         Py_END_ALLOW_THREADS
         if (rc != DEG_OK) {
             raise_degrees_error(rc);
@@ -364,17 +409,20 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
         || !(out = alloc(2 * npts, sizeof(i64))))
         goto done;
     int rc = DEG_OK, bad_point = 0;
+    modulus md = make_modulus(p);
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t pt = 0; pt < npts && rc == DEG_OK; pt++) {
         i64 l[2][3];
-        if (dual_basis(pts + 3 * pt, p, l[0], l[1]) < 0) {
+        if (dual_basis(pts + 3 * pt, md, l[0], l[1]) < 0) {
             bad_point = 1;
             break;
         }
+        /* each form has one coefficient 1 and one 0, so an entry is a
+         * residue plus one product */
         for (int h = 0; h < 2; h++)
             for (Py_ssize_t i = 0; i < n; i++)
-                b[h * n + i] = (l[h][0] * ca[0][i] + l[h][1] * ca[1][i] + l[h][2] * ca[2][i]) % p;
-        rc = pencil_degrees(b, b + n, rows, cols, p, 2, work, iwork, out + 2 * pt);
+                b[h * n + i] = mod_p(l[h][0] * ca[0][i] + l[h][1] * ca[1][i] + l[h][2] * ca[2][i], md);
+        rc = pencil_degrees(b, b + n, rows, cols, md, 2, work, iwork, out + 2 * pt);
     }
     Py_END_ALLOW_THREADS
     if (bad_point)
@@ -415,33 +463,33 @@ static i64 *read_exponents(PyObject *obj, Py_ssize_t nmono, i64 *deg)
 /* The dot product mod p of n coefficients and n monomial values.  Each
  * product is below 2**62, so an unsigned sum below 2**63 can take one more
  * before it is reduced: for small p it is reduced only once. */
-static i64 dot_mod(const i64 *c, const i64 *v, Py_ssize_t n, i64 p)
+static i64 dot_mod(const i64 *c, const i64 *v, Py_ssize_t n, modulus md)
 {
-    unsigned long long acc = 0;
+    u64 acc = 0;
     for (Py_ssize_t k = 0; k < n; k++) {
-        acc += (unsigned long long)(c[k] * v[k]);
+        acc += (u64)(c[k] * v[k]);
         if (acc >> 63)
-            acc %= (unsigned long long)p;
+            acc = (u64)mod_p(acc, md);
     }
-    return (i64)(acc % (unsigned long long)p);
+    return mod_p(acc, md);
 }
 
 /* Values at the point x of the nmono monomials with exponent triples ee
  * (total degree at most deg), written to mv.  pw is scratch for the powers
  * of the three coordinates, 3 * (deg + 1) residues. */
-static void monomial_values(const i64 *x, const i64 *ee, Py_ssize_t nmono, i64 deg, i64 p, i64 *pw,
+static void monomial_values(const i64 *x, const i64 *ee, Py_ssize_t nmono, i64 deg, modulus md, i64 *pw,
                             i64 *mv)
 {
     i64 *px = pw, *py = pw + deg + 1, *pz = pw + 2 * (deg + 1);
     px[0] = py[0] = pz[0] = 1;
     for (i64 i = 1; i <= deg; i++) {
-        px[i] = px[i - 1] * x[0] % p;
-        py[i] = py[i - 1] * x[1] % p;
-        pz[i] = pz[i - 1] * x[2] % p;
+        px[i] = mod_p(px[i - 1] * x[0], md);
+        py[i] = mod_p(py[i - 1] * x[1], md);
+        pz[i] = mod_p(pz[i - 1] * x[2], md);
     }
     for (Py_ssize_t i = 0; i < nmono; i++) {
         const i64 *e = ee + 3 * i;
-        mv[i] = px[e[0]] * py[e[1]] % p * pz[e[2]] % p;
+        mv[i] = mod_p(mod_p(px[e[0]] * py[e[1]], md) * pz[e[2]], md);
     }
 }
 
@@ -464,10 +512,11 @@ static PyObject *eval_form_many(PyObject *self, PyObject *args, PyObject *kwargs
         || !(pts = read_ints(pts_obj, 3 * npts, p)) || !(out = alloc(npts, sizeof(i64)))
         || !(pw = alloc(3 * (deg + 1), sizeof(i64))) || !(mv = alloc(nmono, sizeof(i64))))
         goto done;
+    modulus md = make_modulus(p);
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t pt = 0; pt < npts; pt++) {
-        monomial_values(pts + 3 * pt, ee, nmono, deg, p, pw, mv);
-        out[pt] = dot_mod(cc, mv, nmono, p);
+        monomial_values(pts + 3 * pt, ee, nmono, deg, md, pw, mv);
+        out[pt] = dot_mod(cc, mv, nmono, md);
     }
     Py_END_ALLOW_THREADS
     res = int_list(out, npts);
@@ -511,18 +560,19 @@ static PyObject *form_matrix_scan(PyObject *self, PyObject *args, PyObject *kwar
         || !(mv = alloc(nmono, sizeof(i64))) || !(a = alloc(nent, sizeof(i64)))
         || !(out = alloc(2 * npts, sizeof(i64))))
         goto done;
+    modulus md = make_modulus(p);
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t pt = 0; pt < npts; pt++) {
-        monomial_values(pts + 3 * pt, ee, nmono, deg, p, pw, mv);
+        monomial_values(pts + 3 * pt, ee, nmono, deg, md, pw, mv);
         for (Py_ssize_t e = 0; e < nent; e++)
-            a[e] = dot_mod(cc + e * nmono, mv, nmono, p);
+            a[e] = dot_mod(cc + e * nmono, mv, nmono, md);
         int parity;
-        int r = echelon(a, rows, cols, cols, p, NULL, &parity);
+        int r = echelon(a, rows, cols, cols, md, NULL, &parity);
         i64 d = 0;
         if (rows == cols && r == rows) {
             d = 1;
             for (int i = 0; i < rows; i++)
-                d = d * a[(Py_ssize_t)i * cols + i] % p;
+                d = mod_p(d * a[(Py_ssize_t)i * cols + i], md);
             if (parity)
                 d = p - d;
         }

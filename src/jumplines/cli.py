@@ -89,6 +89,8 @@ def _load_config(args) -> PointConfig:
             return PointConfig.from_json(text)
         except KeyError as exc:
             raise UsageError(f"configuration file {args.config} has no {exc} entry") from None
+        except DegenerateInputError:
+            raise
         except ValueError as exc:
             raise UsageError(f"configuration file {args.config}: {exc}") from None
     if getattr(args, "count", None):

@@ -69,6 +69,11 @@ def plane_points(p: int) -> list:
     return pts
 
 
+def flat_coords(points) -> list:
+    """The coordinates of the points as one flat list of ints, as the kernels take them."""
+    return [int(c) for pt in points for c in pt]
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """Ordered tuple of distinct plane points over a common field."""
@@ -91,9 +96,12 @@ class PointConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "PointConfig":
+        """Read a configuration; repeated points raise `DegenerateInputError`."""
         payload = json.loads(text)
         field = FieldSpec.from_tag(payload["field"])
         pts = tuple(normalize_point(field, pt) for pt in payload["points"])
+        if len(set(pts)) != len(pts):
+            raise DegenerateInputError("configuration has repeated points")
         return cls(pts, field)
 
 

@@ -52,7 +52,7 @@ from .forms import (
     sylvester_resultant,
     binary_form_to_upoly,
 )
-from .geom import PointConfig, Point, normalize_point, plane_points, validate_config
+from .geom import PointConfig, Point, flat_coords, normalize_point, plane_points, validate_config
 from .steiner import generic_eps1, splitting_columns, steiner_pencil
 
 
@@ -74,15 +74,15 @@ def eval_form_on_points(field: FieldSpec, f: HForm, flat) -> list:
     return kernels.eval_form_many(coeffs, exps, flat, field.p)
 
 
-def rank_drops(field: FieldSpec, rows, pts) -> list:
+def rank_drops(field: FieldSpec, rows, flat) -> list:
     """Does the matrix of forms `rows` lose column rank at each point?
 
+    The points are given as one flat list of coordinates (`flat_coords`).
     The fat-point test: with a system's order-k partials as rows and its
     members as columns, the rank drops at x iff some member has all order-k
     partials zero at x.  One kernel call evaluates and ranks at every point;
     the entries must share one degree.
     """
-    flat = [int(c) for pt in pts for c in pt]
     q = len(rows[0])
     return [r < q for r in scan_form_matrix(field, rows, flat)[0::2]]
 
@@ -92,13 +92,14 @@ def rank_drops(field: FieldSpec, rows, pts) -> list:
 # ---------------------------------------------------------------------------
 
 
-def gamma_scan(cfg: PointConfig):
+def gamma_scan(cfg: PointConfig, plane=None):
     """(gamma points, configuration points hitting the fat-point condition).
 
     Gamma is the set of plane points outside the configuration where the
     symbolic jet matrix drops rank, i.e. where some degree-(n-1) curve
     through the 2n points is (n-2)-fold singular.  The second list must be
-    empty for the disjoint-union statement to hold.
+    empty for the disjoint-union statement to hold.  `plane` is
+    (`plane_points(p)`, its `flat_coords`) when the caller already built them.
     """
     field = cfg.field
     if field.kind != "fp":
@@ -109,10 +110,13 @@ def gamma_scan(cfg: PointConfig):
     n = m // 2
     if n <= 3:
         return [], []
-    pts = plane_points(field.p)
+    if plane is None:
+        pts = plane_points(field.p)
+        plane = pts, flat_coords(pts)
+    pts, flat = plane
     zset = set(cfg.points)
     gamma, zhits = [], []
-    for pt, drop in zip(pts, rank_drops(field, gamma_minor_matrix(cfg), pts)):
+    for pt, drop in zip(pts, rank_drops(field, gamma_minor_matrix(cfg), flat)):
         if drop:
             (zhits if pt in zset else gamma).append(pt)
     return sorted(gamma), zhits
@@ -248,7 +252,8 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
     m = len(cfg)
     sp = steiner_pencil(cfg)
     pts = plane_points(field.p)
-    eps1, eps2 = splitting_columns(sp, pts, threads=threads)
+    flat = flat_coords(pts)
+    eps1, eps2 = splitting_columns(sp, flat, threads=threads)
     order = _order_column(m, eps1)
     jumping = {i for i, o in enumerate(order) if o >= 1}
     zrows = _rows_of(pts, cfg.points)
@@ -259,7 +264,7 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
     counts: dict = {"m": m, "n": n, "p": field.p, "plane_points": len(pts)}
 
     if even:
-        gamma, zhits = gamma_scan(cfg) if n > 3 else ([], [])
+        gamma, zhits = gamma_scan(cfg, (pts, flat)) if n > 3 else ([], [])
         grows = _rows_of(pts, gamma)
         z_order = n - 2
         bad_set = jumping ^ set(grows + (zrows if z_order >= 1 else []))
@@ -279,7 +284,7 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
         report_gamma = tuple(gamma)
     else:
         mono = monoidal_det(cfg)
-        vals = eval_form_on_points(field, mono, [int(c) for pt in pts for c in pt])
+        vals = eval_form_on_points(field, mono, flat)
         zeros = {i for i, v in enumerate(vals) if v == 0}
         bad = jumping ^ zeros
         verdicts["jumping_set_is_monoidal_zero_locus"] = not bad
@@ -555,7 +560,7 @@ def containment_monoidal(report: JumpingReport, x_extra: Point) -> bool:
     x_extra = normalize_point(field, x_extra)
     aug = PointConfig(cfg.points + (x_extra,), field)
     validate_config(aug, degrees=(m // 2,))
-    return all(rank_drops(field, monoidal_matrix(aug), cfg.points + report.gamma))
+    return all(rank_drops(field, monoidal_matrix(aug), flat_coords(cfg.points + report.gamma)))
 
 
 def _valid_extra_point(cfg: PointConfig, rng) -> Point:
@@ -596,7 +601,7 @@ def base_locus_equality(report: JumpingReport, trials: int, seed: int):
     for _ in range(trials):
         x = _valid_extra_point(cfg, rng)
         rows = monoidal_matrix(PointConfig(cfg.points + (x,), field))
-        alive = [pt for pt, drop in zip(alive, rank_drops(field, rows, alive)) if drop]
+        alive = [pt for pt, drop in zip(alive, rank_drops(field, rows, flat_coords(alive))) if drop]
     return set(alive) == set(cfg.points + report.gamma), set(alive)
 
 
@@ -684,7 +689,7 @@ def lien_equivalence(report: JumpingReport):
     for a in range(1, top):
         system = curves_through(cfg, a + 1)
         if system.dim():
-            drops = rank_drops(field, _symbolic_jet_rows(field, system, a - 1), pts)
+            drops = rank_drops(field, _symbolic_jet_rows(field, system, a - 1), flat_coords(pts))
             fat = [f or d for f, d in zip(fat, drops)]
     witness = next((pt for pt, i, f in zip(pts, keep, fat) if (order[i] >= 1) != f), None)
     return witness is None, witness

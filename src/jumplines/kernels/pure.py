@@ -54,15 +54,20 @@ def rank_mod_p(flat, rows: int, cols: int, p: int) -> int:
     return len(_echelon(a, rows, cols, cols, p)[0])
 
 
-def _staircase_level(m0, m1, rows: int, cols: int, p: int):
+def _rref(m0, rows: int, cols: int, p: int):
+    """A copy of the row lists m0 in reduced row echelon form, and its pivot columns."""
+    r0 = [row[:] for row in m0]
+    return r0, _echelon(r0, rows, cols, cols, p, reduced=True)[0]
+
+
+def _staircase_level(m0, m1, r0, piv, rows: int, cols: int, p: int):
     """One step of the column staircase of the pencil s*M0 + t*M1 (row lists).
 
-    Returns (nu, mu, next0, next1): nu = dim ker M0, mu = rank of M1 on that
-    kernel, and the (rows - mu) x rank(M0) pencil whose column indices are
-    one less than the remaining ones of this pencil.
+    r0 and piv are `_rref(m0)`.  Returns (nu, mu, next0, next1): nu = dim
+    ker M0, mu = rank of M1 on that kernel, and the (rows - mu) x rank(M0)
+    pencil whose column indices are one less than the remaining ones of this
+    pencil.
     """
-    r0 = [row[:] for row in m0]
-    piv = _echelon(r0, rows, cols, cols, p, reduced=True)[0]
     rho = len(piv)
     free = [j for j in range(cols) if j not in piv]
     nu = len(free)
@@ -86,24 +91,29 @@ def pencil_kernel_degrees(b0, b1, rows: int, cols: int, p: int, want: int = 2):
     indices equal to k; dropping those kernel columns and the mu rows B1
     reaches leaves the pencil of level k + 1.  Raises if the generic member
     is rank deficient or B0 of some level is injective before `want`
-    indices are found.
+    indices are found.  The generic rank is probed on the members (s, t) =
+    (1, 0), (0, 1), (1, 1), (1, 2), (1, 3); the first is B0, whose rank
+    level 0's RREF gives, so the others run only when B0 is deficient.
     """
-    best = 0
-    for s, t in ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3)):
-        member = [(s * b0[i] + t * b1[i]) % p for i in range(rows * cols)]
-        best = max(best, rank_mod_p(member, rows, cols, p))
+    m0 = [[b0[i * cols + j] % p for j in range(cols)] for i in range(rows)]
+    m1 = [[b1[i * cols + j] % p for j in range(cols)] for i in range(rows)]
+    r0, piv = _rref(m0, rows, cols, p)
+    best = len(piv)
+    for s, t in ((0, 1), (1, 1), (1, 2), (1, 3)):
         if best == rows:
             break
+        member = [(s * b0[i] + t * b1[i]) % p for i in range(rows * cols)]
+        best = max(best, rank_mod_p(member, rows, cols, p))
     if best < rows:
         raise ArithmeticError("pencil is rank deficient for generic members")
     if cols - rows < want:
         raise ArithmeticError("pencil kernel is too small")
-    m0 = [[b0[i * cols + j] % p for j in range(cols)] for i in range(rows)]
-    m1 = [[b1[i * cols + j] % p for j in range(cols)] for i in range(rows)]
     found = []
     level = 0
     while len(found) < want:
-        nu, mu, m0, m1 = _staircase_level(m0, m1, rows, cols, p)
+        if level:
+            r0, piv = _rref(m0, rows, cols, p)
+        nu, mu, m0, m1 = _staircase_level(m0, m1, r0, piv, rows, cols, p)
         if nu == 0:
             raise ArithmeticError("minimal indices not found within the degree cap")
         found += [level] * (nu - mu)

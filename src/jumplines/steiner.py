@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .algebra import DegenerateInputError, FieldSpec, Mat, mat_inverse, rank, rref
-from .geom import PointConfig, Point, dual_line_basis
+from .geom import PointConfig, Point, dual_line_basis, flat_coords
 
 
 @dataclass(frozen=True)
@@ -161,14 +161,17 @@ def minimal_indices(field: FieldSpec, b0: Mat, b1: Mat, want: int | None = None)
             [int(v) for v in b0.entries], [int(v) for v in b1.entries], rows, cols, field.p, want
         )
         return tuple(int(d) for d in degs)
-    # rational path: the same staircase over exact scalars
-    probe_rank = 0
-    for s, t in ((field.one, field.zero), (field.zero, field.one),
-                 (field.one, field.one), (field.one, field.of(2)), (field.one, field.of(3))):
-        ent = tuple(field.add(field.mul(s, a), field.mul(t, b)) for a, b in zip(b0.entries, b1.entries))
-        probe_rank = max(probe_rank, rank(field, Mat(rows, cols, ent)))
+    # rational path: the same staircase over exact scalars.  The generic rank
+    # is probed on the members (s, t) = (1, 0), (0, 1), (1, 1), (1, 2), (1, 3);
+    # the first is B0, whose rank level 0's RREF gives
+    red, rho, piv = rref(field, b0)
+    probe_rank = rho
+    for s, t in ((field.zero, field.one), (field.one, field.one),
+                 (field.one, field.of(2)), (field.one, field.of(3))):
         if probe_rank == rows:
             break
+        ent = tuple(field.add(field.mul(s, a), field.mul(t, b)) for a, b in zip(b0.entries, b1.entries))
+        probe_rank = max(probe_rank, rank(field, Mat(rows, cols, ent)))
     if probe_rank < rows:
         raise ArithmeticError("pencil is rank deficient for generic members")
     if cols - rows < want:
@@ -176,7 +179,8 @@ def minimal_indices(field: FieldSpec, b0: Mat, b1: Mat, want: int | None = None)
     found = []
     level = 0
     while len(found) < want:
-        red, rho, piv = rref(field, b0)
+        if level:
+            red, rho, piv = rref(field, b0)
         free = [j for j in range(b0.cols) if j not in piv]
         nu = len(free)
         if nu == 0:
@@ -238,10 +242,11 @@ def jumping_order(sp: SteinerPencil, x: Point) -> int:
     return generic_eps1(sp.m) - st.eps1
 
 
-def splitting_columns(sp: SteinerPencil, points, threads: int = 1):
+def splitting_columns(sp: SteinerPencil, pts_flat, threads: int = 1):
     """(eps1, eps2) columns of the splitting types at many points (prime fields only).
 
-    Two `array('i')` columns, one entry per point, in the order of `points`.
+    The points are given as one flat list of coordinates (`flat_coords`).
+    Two `array('i')` columns, one entry per point, in the order of the points.
     Deterministic regardless of thread count: the point list is chunked in
     order and the per-chunk results are concatenated in order.
     """
@@ -252,17 +257,17 @@ def splitting_columns(sp: SteinerPencil, points, threads: int = 1):
     a1 = [int(v) for v in sp.A1.entries]
     a2 = [int(v) for v in sp.A2.entries]
     rows, cols = sp.A0.rows, sp.A0.cols
-    pts_flat = [int(c) for pt in points for c in pt]
+    npts = len(pts_flat) // 3
 
     def run(chunk):
         return kernels.splitting_scan(a0, a1, a2, rows, cols, chunk, field.p)
 
-    if threads <= 1 or len(points) < 64:
+    if threads <= 1 or npts < 64:
         raw = run(pts_flat)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        step = 3 * max(64, (len(points) + threads - 1) // threads)
+        step = 3 * max(64, (npts + threads - 1) // threads)
         chunks = [pts_flat[i : i + step] for i in range(0, len(pts_flat), step)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             raw = [v for part in pool.map(run, chunks) for v in part]
@@ -272,5 +277,5 @@ def splitting_columns(sp: SteinerPencil, points, threads: int = 1):
 
 def splitting_scan(sp: SteinerPencil, points, threads: int = 1):
     """Splitting types at many points (prime fields only), from `splitting_columns`."""
-    eps1, eps2 = splitting_columns(sp, points, threads)
+    eps1, eps2 = splitting_columns(sp, flat_coords(points), threads)
     return [SplittingType(a, b) for a, b in zip(eps1, eps2)]

@@ -77,9 +77,9 @@ def test_verify_scans_each_configuration_once(monkeypatch):
     scanned = []
     gamma_scan = jumplines.jumping.gamma_scan
 
-    def counted(cfg):
+    def counted(cfg, *plane):
         scanned.append(cfg)
-        return gamma_scan(cfg)
+        return gamma_scan(cfg, *plane)
 
     monkeypatch.setattr(jumplines.jumping, "gamma_scan", counted)
     results, bundles = run_all(seeds=(1,))

@@ -76,6 +76,18 @@ def test_config_with_a_bad_field_is_a_usage_error(tmp_path, capsys):
         assert err == f"usage error: configuration file {cfgp}: 9 is not prime\n"
 
 
+def test_config_with_a_repeated_point_is_degenerate(tmp_path, capsys):
+    # (2, 4, 2) is (1, 2, 1) again; jump used to die in the kernel's generic-rank check
+    cfgp = tmp_path / "repeated.json"
+    points = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 1], [3, 1, 1], [5, 7, 1], [2, 4, 2]]
+    cfgp.write_text(json.dumps({"field": "fp:101", "points": points}))
+    for command in ("jump", "monoidal", "gamma", "pencil4", "render"):
+        code, out, err = run(capsys, command, "--config", str(cfgp))
+        assert code == 2, command
+        assert err == "degenerate input: configuration has repeated points\n"
+        assert out == ""
+
+
 def test_field_too_small_for_the_interpolation_grid(capsys):
     for argv in (("jump", "--count", "11", "--field", "fp:17"), ("monoidal", "--count", "11", "--field", "fp:13")):
         code, _, err = run(capsys, *argv)

@@ -24,7 +24,7 @@ from jumplines.forms import (
     monoidal_det,
     monoidal_matrix,
 )
-from jumplines.geom import normalize_point, plane_points, random_config
+from jumplines.geom import flat_coords, normalize_point, plane_points, random_config
 from jumplines.jumping import (
     VerificationError,
     _valid_extra_point,
@@ -173,8 +173,8 @@ def _stdlib_serializations(rep):
 def _drop_first_gamma_point(monkeypatch):
     real = gamma_scan
 
-    def short(cfg):
-        gamma, zhits = real(cfg)
+    def short(cfg, *plane):
+        gamma, zhits = real(cfg, *plane)
         return gamma[1:], zhits
 
     monkeypatch.setattr("jumplines.jumping.gamma_scan", short)
@@ -377,7 +377,7 @@ def test_rank_drops_is_the_monoidal_zero_set(monkeypatch, backend, m):
     pts = plane_points(31)
     mono = monoidal_det(cfg)
     zeros = [hf_eval(field, mono, pt) == 0 for pt in pts]
-    assert rank_drops(field, monoidal_matrix(cfg), pts) == zeros
+    assert rank_drops(field, monoidal_matrix(cfg), flat_coords(pts)) == zeros
     assert any(zeros) and not all(zeros)
 
 

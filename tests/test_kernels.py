@@ -180,7 +180,7 @@ def _check_nullities(field, m0, m1, indices):
         assert pencil_nullity(field, m0, m1, d) == sum(max(0, d - e + 1) for e in indices)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 101])
+@pytest.mark.parametrize("p", [2, 3, 5, 101, COMPILED_P_LIMIT - 1])
 def test_indices_of_kronecker_pencils(p):
     # L blocks plus a regular part, under random invertible row and column
     # transforms: the minimal indices are the smallest L block sizes
@@ -216,6 +216,37 @@ def test_indices_of_kronecker_pencils_over_q():
         _check_nullities(RATIONALS, m0, m1, indices)
         checked += 1
     assert checked >= 8
+
+
+@pytest.mark.parametrize("field", [prime_field(101), prime_field(COMPILED_P_LIMIT - 1), RATIONALS])
+def test_generic_rank_is_probed_before_anything_else(field):
+    # B0 deficient: its rank is the first probe's, and the other probes must
+    # still run, before any other check and even when no index is wanted
+    rows, cols = 3, 5
+    b0 = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0]]
+    b1 = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
+    # every member of this one has a zero last row
+    d1 = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]]
+    cases = [(b0, b1, None), (b0, d1, "rank deficient"), (d1, b0, "rank deficient")]
+    for m0, m1, error in cases:
+        flat0, flat1 = [v for row in m0 for v in row], [v for row in m1 for v in row]
+        mats = Mat(rows, cols, tuple(map(field.of, flat0))), Mat(rows, cols, tuple(map(field.of, flat1)))
+        runs = [lambda want: minimal_indices(field, *mats, want)]
+        if field.kind == "fp":
+            runs += [lambda want, impl=impl: impl.pencil_kernel_degrees(flat0, flat1, rows, cols, field.p, want)
+                     for impl in IMPLS.values()]
+        for run in runs:
+            for want in (0, 1, 2, 3):
+                if error is not None:
+                    with pytest.raises(ArithmeticError, match=error):
+                        run(want)
+                elif want > cols - rows:
+                    with pytest.raises(ArithmeticError, match="kernel is too small"):
+                        run(want)
+                else:
+                    assert tuple(run(want)) == (0, 2)[:want]
+        if error is None:
+            _check_nullities(field, *mats, (0, 2))
 
 
 def test_pencil_degrees_backend_parity():
@@ -267,6 +298,22 @@ def test_splitting_scan_backend_parity():
             d = pencil_kernel_degrees([int(v) for v in b0.entries], [int(v) for v in b1.entries], m - 3, m - 1, 31, 2)
             j = pts.index(x)
             assert [int(v) for v in d] == outs[0][2 * j : 2 * j + 2]
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_splitting_scan_backend_parity_near_the_compiled_limit(m):
+    # residues near 2**31 keep the quotients of every reduction at their largest
+    p = COMPILED_P_LIMIT - 1
+    cfg = random_config(m, prime_field(p), seed=5)
+    sp = steiner_pencil(cfg)
+    rng = random.Random(m)
+    pts = [(rng.randrange(p), rng.randrange(p), 1) for _ in range(290)] + list(cfg.points)
+    flat = [c for pt in pts for c in pt]
+    a = [[int(v) for v in mat.entries] for mat in sp.matrices()]
+    outs = [[int(v) for v in impl.splitting_scan(*a, m - 3, m - 1, flat, p)] for impl in IMPLS.values()]
+    assert all(o == outs[0] for o in outs)
+    # the configuration points jump, so the staircase runs past its generic levels there
+    assert all(outs[0][2 * i] + 1 < generic_eps1(m) for i in range(290, len(pts)))
 
 
 def test_kernels_reject_malformed_input():
@@ -369,7 +416,7 @@ def test_form_matrix_scan_rejects_malformed_input():
 def test_rank_drops_rejects_mixed_degrees():
     rows = [[hf_zero(F101, 2), hf_zero(F101, 1)]]
     with pytest.raises(ValueError, match="one degree"):
-        rank_drops(F101, rows, [(0, 0, 1)])
+        rank_drops(F101, rows, [0, 0, 1])
 
 
 def test_selected_backend_exports():

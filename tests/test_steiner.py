@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jumplines.algebra import DegenerateInputError, Mat, RATIONALS, prime_field, rank
-from jumplines.geom import normalize_point, plane_points, random_config
+from jumplines.geom import flat_coords, normalize_point, plane_points, random_config
 from jumplines.jumping import gamma_points
 from jumplines.steiner import (
     SplittingType,
@@ -176,7 +176,7 @@ def test_splitting_scan_matches_pointwise_and_threads(m):
     one = splitting_scan(sp, pts, threads=1)
     thr = splitting_scan(sp, pts, threads=3)
     assert one == thr
-    eps1, eps2 = splitting_columns(sp, pts, threads=3)
+    eps1, eps2 = splitting_columns(sp, flat_coords(pts), threads=3)
     assert list(zip(eps1, eps2)) == [(st.eps1, st.eps2) for st in one]
     # the second index is computed, not taken from eps1 + eps2 = m - 1
     assert all(st.eps1 + st.eps2 == m - 1 for st in one)
