@@ -118,6 +118,14 @@ static int echelon(i64 *a, int rows, int width, int pcols, modulus md, int *piv,
     return r;
 }
 
+/* Level 0's reduction of B0: its RREF red (rows x cols), pivot columns piv
+ * and rank rho, as echelon leaves them. */
+typedef struct {
+    const i64 *red;
+    const int *piv;
+    int rho;
+} reduction;
+
 /* First `want` column minimal indices of the pencil s*B0 + t*B1 (rows x
  * cols residues), written to out.  The column staircase (Van Dooren 1979):
  * at level k, B0 has a kernel K of dimension nu and B1*K has rank mu; then
@@ -128,18 +136,28 @@ static int echelon(i64 *a, int rows, int width, int pcols, modulus md, int *piv,
  * The generic member must have full row rank.  Its probes are the members
  * (s, t) = (1, 0), (0, 1), (1, 1), (1, 2), (1, 3); the first is B0, whose
  * rank level 0's RREF gives, so the others run only when B0 is deficient.
+ * A caller that has already reduced B0 passes level0 (else NULL).
  *
  * work holds 5 * rows * cols residues, iwork 2 * cols ints. */
-static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, modulus md,
-                          int want, i64 *work, int *iwork, i64 *out)
+static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, modulus md, int want,
+                          const reduction *level0, i64 *work, int *iwork, i64 *out)
 {
     static const int probes[4][2] = {{0, 1}, {1, 1}, {1, 2}, {1, 3}};
     i64 p = md.p;
     Py_ssize_t n = (Py_ssize_t)rows * cols;
-    i64 *m0 = work, *m1 = work + n, *red = work + 2 * n, *aug = work + 3 * n;
-    int *piv = iwork, *freec = iwork + cols;
-    memcpy(red, b0, n * sizeof(i64));
-    int rho = echelon(red, rows, cols, cols, md, piv, NULL);
+    i64 *m0 = work, *m1 = work + n, *redw = work + 2 * n, *aug = work + 3 * n;
+    int *pivw = iwork, *freec = iwork + cols;
+    const i64 *red = redw;
+    const int *piv = pivw;
+    int rho;
+    if (level0) {
+        red = level0->red;
+        piv = level0->piv;
+        rho = level0->rho;
+    } else {
+        memcpy(redw, b0, n * sizeof(i64));
+        rho = echelon(redw, rows, cols, cols, md, pivw, NULL);
+    }
     int best = rho;
     for (int t = 0; t < 4 && best < rows; t++) {
         for (Py_ssize_t i = 0; i < n; i++)
@@ -158,8 +176,10 @@ static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, modu
     int nfound = 0;
     for (int level = 0; nfound < want; level++) {
         if (level > 0) {
-            memcpy(red, m0, (Py_ssize_t)rows * cols * sizeof(i64));
-            rho = echelon(red, rows, cols, cols, md, piv, NULL);
+            memcpy(redw, m0, (Py_ssize_t)rows * cols * sizeof(i64));
+            rho = echelon(redw, rows, cols, cols, md, pivw, NULL);
+            red = redw;
+            piv = pivw;
         }
         int nu = cols - rho;
         if (nu == 0)
@@ -368,7 +388,7 @@ static PyObject *pencil_kernel_degrees(PyObject *self, PyObject *args, PyObject 
     if (out) {
         int rc;
         Py_BEGIN_ALLOW_THREADS
-        rc = pencil_degrees(c0, c1, rows, cols, make_modulus(p), want, work, iwork, out);
+        rc = pencil_degrees(c0, c1, rows, cols, make_modulus(p), want, NULL, work, iwork, out);
         Py_END_ALLOW_THREADS
         if (rc != DEG_OK) {
             raise_degrees_error(rc);
@@ -399,17 +419,31 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
     Py_ssize_t n = (Py_ssize_t)rows * cols;
     PyObject *res = NULL;
     i64 *ca[3] = {NULL, NULL, NULL};
-    i64 *pts = NULL, *b = NULL, *work = NULL, *out = NULL;
-    int *iwork = NULL;
+    i64 *pts = NULL, *b = NULL, *red = NULL, *work = NULL, *out = NULL;
+    int *piv = NULL, *iwork = NULL;
     for (int k = 0; k < 3; k++)
         if (!(ca[k] = read_ints(a[k], n, p)))
             goto done;
     if (!(pts = read_ints(pts_obj, 3 * npts, p)) || !(b = alloc(2 * n, sizeof(i64)))
+        || !(red = alloc(2 * n, sizeof(i64))) || !(piv = alloc(2 * (Py_ssize_t)cols, sizeof(int)))
         || !(work = alloc(5 * n, sizeof(i64))) || !(iwork = alloc(2 * (Py_ssize_t)cols, sizeof(int)))
         || !(out = alloc(2 * npts, sizeof(i64))))
         goto done;
     int rc = DEG_OK, bad_point = 0;
     modulus md = make_modulus(p);
+    /* Consecutive plane points share a form of their dual basis: the points
+     * (a, b, 1) with a != 0 share l1 = e2 - e0/a along a row, the points
+     * (0, b, 1) share l0 = e0 and the points at infinity l1 = e2.  Member h,
+     * B_h = A(l_h), is rebuilt only when its form changes (a zero form means
+     * none is built yet: a dual form has a coefficient 1), and its RREF (rank
+     * rho[h], -1 until computed) once the next point shares it.  The column
+     * minimal indices do not depend on the basis of the pencil, so the
+     * staircase runs with the shared member as B0.  Its full row rank
+     * proves the generic rank, so no probe runs; when it is deficient the
+     * point takes the plain call on (B0, B1), whose probes and errors the
+     * per-point kernel has. */
+    i64 form[2][3] = {{0, 0, 0}, {0, 0, 0}};
+    int rho[2] = {-1, -1};
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t pt = 0; pt < npts && rc == DEG_OK; pt++) {
         i64 l[2][3];
@@ -417,12 +451,31 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
             bad_point = 1;
             break;
         }
-        /* each form has one coefficient 1 and one 0, so an entry is a
-         * residue plus one product */
-        for (int h = 0; h < 2; h++)
+        int shared = -1;
+        for (int h = 0; h < 2; h++) {
+            if (memcmp(form[h], l[h], sizeof form[h]) == 0) {
+                if (shared < 0)
+                    shared = h;
+                continue;
+            }
+            memcpy(form[h], l[h], sizeof form[h]);
+            rho[h] = -1;
+            /* each form has one coefficient 1 and one 0, so an entry is a
+             * residue plus one product */
             for (Py_ssize_t i = 0; i < n; i++)
                 b[h * n + i] = mod_p(l[h][0] * ca[0][i] + l[h][1] * ca[1][i] + l[h][2] * ca[2][i], md);
-        rc = pencil_degrees(b, b + n, rows, cols, md, 2, work, iwork, out + 2 * pt);
+        }
+        if (shared >= 0 && rho[shared] < 0) {
+            memcpy(red + shared * n, b + shared * n, n * sizeof(i64));
+            rho[shared] = echelon(red + shared * n, rows, cols, cols, md, piv + shared * cols, NULL);
+        }
+        if (shared >= 0 && rho[shared] == rows) {
+            reduction level0 = {red + shared * n, piv + shared * cols, rows};
+            rc = pencil_degrees(b + shared * n, b + (1 - shared) * n, rows, cols, md, 2, &level0, work, iwork,
+                                out + 2 * pt);
+        } else {
+            rc = pencil_degrees(b, b + n, rows, cols, md, 2, NULL, work, iwork, out + 2 * pt);
+        }
     }
     Py_END_ALLOW_THREADS
     if (bad_point)
@@ -434,7 +487,8 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
 done:
     for (int k = 0; k < 3; k++)
         PyMem_Free(ca[k]);
-    PyMem_Free(pts); PyMem_Free(b); PyMem_Free(work); PyMem_Free(iwork); PyMem_Free(out);
+    PyMem_Free(pts); PyMem_Free(b); PyMem_Free(red); PyMem_Free(piv); PyMem_Free(work); PyMem_Free(iwork);
+    PyMem_Free(out);
     return res;
 }
 

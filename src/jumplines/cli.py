@@ -13,7 +13,7 @@ import sys
 
 from .algebra import DegenerateInputError, FieldSpec, distinct_degree_profile, prime_field, up_squarefree_part
 from .forms import monoidal_det
-from .geom import PointConfig, random_config
+from .geom import PointConfig, random_config, validate_config
 from .intersect import jumping_length, tangency_degree
 from .jumping import (
     gamma_points,
@@ -82,17 +82,21 @@ def _seed_list(text: str) -> tuple:
 
 
 def _load_config(args) -> PointConfig:
+    """The configuration of --config FILE, checked for repeated and collinear
+    points, or the one generated from --count/--seed/--field."""
     if getattr(args, "config", None):
         with open(args.config) as fh:
             text = fh.read()
         try:
-            return PointConfig.from_json(text)
+            cfg = PointConfig.from_json(text)
         except KeyError as exc:
             raise UsageError(f"configuration file {args.config} has no {exc} entry") from None
         except DegenerateInputError:
             raise
         except ValueError as exc:
             raise UsageError(f"configuration file {args.config}: {exc}") from None
+        validate_config(cfg)
+        return cfg
     if getattr(args, "count", None):
         return random_config(args.count, args.field, seed=args.seed, retries=args.retries)
     raise UsageError("provide --config FILE or --count/--seed/--field")

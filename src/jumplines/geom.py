@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain
 
-from .algebra import DegenerateInputError, FieldSpec, Mat, det, rank
+from . import kernels
+from .algebra import DegenerateInputError, FieldSpec, Mat, rank
 
 Point = tuple
 
@@ -31,7 +33,12 @@ def normalize_point(field: FieldSpec, coords) -> Point:
 
 
 def collinear(field: FieldSpec, a: Point, b: Point, c: Point) -> bool:
-    return field.is_zero(det(field, Mat.from_rows([list(a), list(b), list(c)])))
+    """Whether det[a; b; c] vanishes, by cofactor expansion along a."""
+    add, sub, mul = field.add, field.sub, field.mul
+    return field.is_zero(add(add(
+        mul(a[0], sub(mul(b[1], c[2]), mul(b[2], c[1]))),
+        mul(a[1], sub(mul(b[2], c[0]), mul(b[0], c[2])))),
+        mul(a[2], sub(mul(b[0], c[1]), mul(b[1], c[0])))))
 
 
 def dual_line_basis(field: FieldSpec, x: Point):
@@ -70,8 +77,8 @@ def plane_points(p: int) -> list:
 
 
 def flat_coords(points) -> list:
-    """The coordinates of the points as one flat list of ints, as the kernels take them."""
-    return [int(c) for pt in points for c in pt]
+    """The coordinates of F_p points (ints) as one flat list, as the kernels take them."""
+    return list(chain.from_iterable(points))
 
 
 @dataclass(frozen=True)
@@ -110,11 +117,16 @@ def _degree_exponents(d: int):
 
 
 def _evaluation_rank(field: FieldSpec, points, d: int) -> int:
+    exps = _degree_exponents(d)
+    if field.kind == "fp":
+        p = field.p
+        flat = [pow(x, a, p) * pow(y, b, p) * pow(z, c, p) % p for x, y, z in points for a, b, c in exps]
+        return kernels.rank_mod_p(flat, len(points), len(exps), p)
     rows = []
     for pt in points:
         rows.append([
             field.mul(field.mul(scalar_pow(field, pt[0], a), scalar_pow(field, pt[1], b)), scalar_pow(field, pt[2], c))
-            for (a, b, c) in _degree_exponents(d)
+            for (a, b, c) in exps
         ])
     return rank(field, Mat.from_rows(rows))
 

@@ -97,12 +97,18 @@ def pencil_kernel_degrees(b0, b1, rows: int, cols: int, p: int, want: int = 2):
     """
     m0 = [[b0[i * cols + j] % p for j in range(cols)] for i in range(rows)]
     m1 = [[b1[i * cols + j] % p for j in range(cols)] for i in range(rows)]
-    r0, piv = _rref(m0, rows, cols, p)
+    return _pencil_degrees(m0, m1, rows, cols, p, want)
+
+
+def _pencil_degrees(m0, m1, rows: int, cols: int, p: int, want: int, level0=None):
+    """`pencil_kernel_degrees` on the row lists m0, m1 (residues), which it
+    does not modify; level0 is `_rref(m0)` when the caller already has it."""
+    r0, piv = level0 or _rref(m0, rows, cols, p)
     best = len(piv)
     for s, t in ((0, 1), (1, 1), (1, 2), (1, 3)):
         if best == rows:
             break
-        member = [(s * b0[i] + t * b1[i]) % p for i in range(rows * cols)]
+        member = [(s * x + t * y) % p for row0, row1 in zip(m0, m1) for x, y in zip(row0, row1)]
         best = max(best, rank_mod_p(member, rows, cols, p))
     if best < rows:
         raise ArithmeticError("pencil is rank deficient for generic members")
@@ -145,19 +151,34 @@ def splitting_scan(a0, a1, a2, rows: int, cols: int, pts_flat, p: int):
     """Per-point kernel degrees of the pencil restricted to each dual line.
 
     pts_flat holds normalized coordinate triples; returns a flat list of
-    2 * npoints ints (degree pair per point, ascending).
+    2 * npoints ints (degree pair per point, ascending).  Consecutive points
+    that share a form of their dual basis share its member, which is built
+    once and reduced once it is shared; the staircase then runs with the
+    shared member as B0 (see `splitting_scan` in _fastkern.c).
     """
     npts = len(pts_flat) // 3
-    size = rows * cols
+    entries = [(a0[i], a1[i], a2[i]) for i in range(rows * cols)]
     out = [0] * (2 * npts)
+    forms, members, level0 = [None, None], [None, None], [None, None]
     for n in range(npts):
-        x0, x1, x2 = pts_flat[3 * n], pts_flat[3 * n + 1], pts_flat[3 * n + 2]
-        l0, l1 = _dual_basis_mod_p(x0, x1, x2, p)
-        b0 = [(l0[0] * a0[i] + l0[1] * a1[i] + l0[2] * a2[i]) % p for i in range(size)]
-        b1 = [(l1[0] * a0[i] + l1[1] * a1[i] + l1[2] * a2[i]) % p for i in range(size)]
-        d1, d2 = pencil_kernel_degrees(b0, b1, rows, cols, p, 2)
-        out[2 * n] = d1
-        out[2 * n + 1] = d2
+        ls = _dual_basis_mod_p(pts_flat[3 * n], pts_flat[3 * n + 1], pts_flat[3 * n + 2], p)
+        shared = None
+        for h, form in enumerate(ls):
+            if form == forms[h]:
+                if shared is None:
+                    shared = h
+                continue
+            forms[h], level0[h] = form, None
+            c0, c1, c2 = form
+            flat = [(c0 * x + c1 * y + c2 * z) % p for x, y, z in entries]
+            members[h] = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+        if shared is not None and level0[shared] is None:
+            level0[shared] = _rref(members[shared], rows, cols, p)
+        if shared is not None and len(level0[shared][1]) == rows:
+            degs = _pencil_degrees(members[shared], members[1 - shared], rows, cols, p, 2, level0[shared])
+        else:
+            degs = _pencil_degrees(members[0], members[1], rows, cols, p, 2)
+        out[2 * n], out[2 * n + 1] = degs
     return out
 
 

@@ -88,6 +88,24 @@ def test_config_with_a_repeated_point_is_degenerate(tmp_path, capsys):
         assert out == ""
 
 
+def test_config_with_collinear_points_is_degenerate(tmp_path, capsys):
+    # the last point is the sum of the first two, on the line through them;
+    # both commands used to scan such a file as if it were in general position
+    from jumplines.algebra import prime_field
+    from jumplines.geom import normalize_point, random_config
+
+    field = prime_field(101)
+    points = list(random_config(7, field, seed=1).points)
+    points.append(normalize_point(field, [a + b for a, b in zip(points[0], points[1])]))
+    cfgp = tmp_path / "collinear.json"
+    cfgp.write_text(json.dumps({"field": "fp:101", "points": [list(pt) for pt in points]}))
+    for command in ("jump", "gamma"):
+        code, out, err = run(capsys, command, "--config", str(cfgp))
+        assert code == 2, command
+        assert err == "degenerate input: points 0,1,7 are collinear\n"
+        assert out == ""
+
+
 def test_field_too_small_for_the_interpolation_grid(capsys):
     for argv in (("jump", "--count", "11", "--field", "fp:17"), ("monoidal", "--count", "11", "--field", "fp:13")):
         code, _, err = run(capsys, *argv)

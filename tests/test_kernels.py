@@ -9,7 +9,7 @@ import pytest
 
 from jumplines.algebra import RATIONALS, Mat, det, mat_mul, prime_field, rank
 from jumplines.forms import HForm, basis_size, hf_add, hf_eval, hf_mul, hf_zero, monomials
-from jumplines.geom import plane_points, random_config
+from jumplines.geom import dual_line_basis, plane_points, random_config
 from jumplines.jumping import rank_drops
 from jumplines.kernels import (
     BACKEND,
@@ -25,7 +25,6 @@ from jumplines.steiner import (
     generic_eps1,
     minimal_indices,
     pencil_nullity,
-    restrict_to_dual_line,
     steiner_pencil,
 )
 
@@ -111,17 +110,23 @@ def test_rank_matches_generic_linalg():
 
 
 def _kronecker_pencil(rng, lams):
-    """A pencil s*B0 + t*B1 in Kronecker form, as row lists with int entries.
-
-    L blocks of sizes e (e x (e+1): B0 = [I | 0], B1 = [0 | I]), finite
-    Jordan blocks (B0 = I, B1 = J(lam), singular where s + t*lam = 0) and
-    infinite ones (B0 nilpotent, B1 = I, singular where t = 0).  Returns
-    (rows, cols, B0, B1, sorted L sizes, lams of the finite blocks, number of
-    infinite blocks).
-    """
+    """A random pencil in Kronecker form (`_kronecker_blocks`) whose finite
+    blocks take their eigenvalues from lams."""
     sizes = sorted(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
     finite = [(rng.randint(1, 2), rng.choice(lams)) for _ in range(rng.randint(0, 2))]
     infinite = [rng.randint(1, 2) for _ in range(rng.randint(0, 1))]
+    return _kronecker_blocks(sizes, finite, infinite)
+
+
+def _kronecker_blocks(sizes, finite, infinite):
+    """The pencil s*B0 + t*B1 in Kronecker form, as row lists with int entries.
+
+    L blocks of sizes e (e x (e+1): B0 = [I | 0], B1 = [0 | I]), finite
+    Jordan blocks (k, lam) (B0 = I, B1 = J(lam), singular where s + t*lam =
+    0) and infinite ones of sizes k (B0 nilpotent, B1 = I, singular where
+    t = 0).  Returns (rows, cols, B0, B1, L sizes, lams of the finite
+    blocks, number of infinite blocks).
+    """
     rows = sum(sizes) + sum(k for k, _ in finite) + sum(infinite)
     cols = rows + len(sizes)
     b0 = [[0] * cols for _ in range(rows)]
@@ -277,27 +282,70 @@ def test_eval_form_many_matches_pointwise():
         assert [int(v) for v in vals] == [hf_eval(F101, f, pt) for pt in pts]
 
 
+def _scan_pairs(impl, a, rows, cols, pts, p):
+    """splitting_scan's degree pair at each of the points, in order."""
+    out = [int(v) for v in impl.splitting_scan(*a, rows, cols, [c for pt in pts for c in pt], p)]
+    return [tuple(out[2 * i : 2 * i + 2]) for i in range(len(pts))]
+
+
+def _pointwise_pair(impl, a, rows, cols, x, p):
+    """pencil_kernel_degrees of the pencil restricted to the dual line of x."""
+    field = prime_field(p)
+    b0, b1 = ([sum(c * m[i] for c, m in zip(form, a)) % p for i in range(rows * cols)]
+              for form in dual_line_basis(field, x))
+    return tuple(int(v) for v in impl.pencil_kernel_degrees(b0, b1, rows, cols, p, 2))
+
+
 def test_splitting_scan_backend_parity():
-    # the whole plane of F_31, with the jumping points of an even and an odd m
-    pts = plane_points(31)
-    flat = [int(c) for pt in pts for c in pt]
+    # the whole plane of F_31, with the jumping points of an even and an odd
+    # m, in plane order, reversed and shuffled: consecutive plane points share
+    # a member of their restricted pencils, which the scan builds and reduces
+    # once and runs the staircase from; shuffled, few neighbours share one
+    p = 31
+    pts = plane_points(p)
+    orders = (pts, pts[::-1], random.Random(5).sample(pts, len(pts)))
     for m in (8, 9):
-        cfg = random_config(m, prime_field(31), seed=5)
-        sp = steiner_pencil(cfg)
-        a0 = [int(v) for v in sp.A0.entries]
-        a1 = [int(v) for v in sp.A1.entries]
-        a2 = [int(v) for v in sp.A2.entries]
+        sp = steiner_pencil(random_config(m, prime_field(p), seed=5))
+        a = [[int(v) for v in mat.entries] for mat in sp.matrices()]
         outs = []
         for impl in IMPLS.values():
-            outs.append([int(v) for v in impl.splitting_scan(a0, a1, a2, m - 3, m - 1, flat, 31)])
+            want = {x: _pointwise_pair(impl, a, m - 3, m - 1, x, p) for x in pts}
+            for order in orders:
+                assert _scan_pairs(impl, a, m - 3, m - 1, order, p) == [want[x] for x in order]
+            outs.append(want)
         assert all(o == outs[0] for o in outs)
-        assert any(outs[0][2 * i] + 1 < generic_eps1(m) for i in range(len(pts)))
-        # spot check against the per-point route
-        for x in pts[:10] + list(cfg.points):
-            b0, b1 = restrict_to_dual_line(sp, x)
-            d = pencil_kernel_degrees([int(v) for v in b0.entries], [int(v) for v in b1.entries], m - 3, m - 1, 31, 2)
-            j = pts.index(x)
-            assert [int(v) for v in d] == outs[0][2 * j : 2 * j + 2]
+        assert any(d1 + 1 < generic_eps1(m) for d1, _ in outs[0].values())
+
+
+def test_splitting_scan_falls_back_when_the_shared_member_is_deficient():
+    # Along the row a = 1 the dual basis is (e1 - b*e0, e2 - e0).  With
+    # A0 = M - K0, A1 = M and A2 = K1 + M - K0 the point (1, 0, 1) restricts
+    # to (M, K1), (1, 1, 1) to (K0, K1) and (1, 2, 1) to (2*K0 - M, K1): the
+    # last two share K1, which is deficient (its J(0) block).  Every probe
+    # of (K0, K1) is deficient, so that point must raise as the per-point
+    # kernel does, although K1 + 2*K0, a probe of (K1, K0), has full rank.
+    p = 31
+    field = prime_field(p)
+    finite = [(1, field.of(lam)) for lam in (0, -1, "-1/2", "-1/3")]
+    rows, cols, k0, k1, _, _, _ = _kronecker_blocks([1, 1], finite, [1])
+    k0, k1 = [v for row in k0 for v in row], [v for row in k1 for v in row]
+    rng = random.Random(9)
+    while True:
+        mm = [rng.randrange(p) for _ in range(rows * cols)]
+        if rank_mod_p(mm, rows, cols, p) == rows:
+            break
+    a = [[(x - y) % p for x, y in zip(mm, k0)], mm, [(x + y - z) % p for x, y, z in zip(k1, mm, k0)]]
+    start, good, bad = (1, 0, 1), (1, 2, 1), (1, 1, 1)
+    assert rank_mod_p(k1, rows, cols, p) < rows
+    for impl in IMPLS.values():
+        assert tuple(impl.pencil_kernel_degrees(k1, k0, rows, cols, p, 2)) == (1, 1)
+        with pytest.raises(ArithmeticError, match="rank deficient"):
+            _pointwise_pair(impl, a, rows, cols, bad, p)
+        want = [_pointwise_pair(impl, a, rows, cols, x, p) for x in (start, good)]
+        assert _scan_pairs(impl, a, rows, cols, [start, good], p) == want
+        for pts in ([bad], [start, bad], [start, good, bad], [good, bad, start]):
+            with pytest.raises(ArithmeticError, match="rank deficient"):
+                impl.splitting_scan(*a, rows, cols, [c for pt in pts for c in pt], p)
 
 
 @pytest.mark.parametrize("m", [8, 9])
