@@ -11,6 +11,14 @@
  * setup.py (optional=True) leaves the pure twins in charge.
  * The point loops run without the GIL, so chunked scans use real threads.
  *
+ * Inverses: splitting_scan and form_matrix_scan build one table of the
+ * inverses mod p per call when the call has at least p points (every
+ * full-plane scan has p*p + p + 1), in O(p) and 8 * p bytes; every other
+ * call (rank_mod_p, pencil_kernel_degrees, shorter point lists) inverts by
+ * extended Euclid.  Nothing is kept between calls, so thread chunks stay
+ * independent.  The pure twins invert by pow(x, p - 2, p), so the parity
+ * tests check the table against an independent inverse.
+ *
  * Build: python setup.py build_ext --inplace
  */
 #define PY_SSIZE_T_CLEAN
@@ -31,23 +39,27 @@ __extension__ typedef unsigned __int128 u128;
 /* pencil_degrees return codes, raised by raise_degrees_error */
 enum { DEG_OK = 0, DEG_RANK_DEFICIENT, DEG_KERNEL_TOO_SMALL, DEG_NOT_FOUND };
 
-/* A kernel call's modulus p with its Barrett constant mu = floor((2**64 - 1) / p). */
+/* A kernel call's prime modulus p with its Barrett constant
+ * mu = floor((2**64 - 1) / p), and its table of inverses inv[a] = 1/a mod p
+ * when the call has built one (see inverse_table), else NULL. */
 typedef struct {
     i64 p;
     u64 mu;
+    const i64 *inv;
 } modulus;
 
 static modulus make_modulus(i64 p)
 {
-    modulus md = {p, ~0ULL / (u64)p};
+    modulus md = {p, ~0ULL / (u64)p, NULL};
     return md;
 }
 
 /* x mod p without a division (Barrett, CRYPTO '86).  For every x < 2**64 the
  * quotient estimate floor(x * mu / 2**64) is floor(x / p) or one less, so one
- * conditional subtraction finishes.  Every caller but dot_mod passes at most
- * a residue plus a product of two residues, x < p*p + p < 2**63 for
- * p < 2**31; dot_mod's lazy sums stay below 2**64. */
+ * conditional subtraction finishes.  Most callers pass at most a residue
+ * plus a product of two residues, x < p*p + p < 2**63 for p < 2**31;
+ * pencil_degrees' level-0 combination of three products and dot_mod's lazy
+ * sums stay below 2**64. */
 static inline i64 mod_p(u64 x, modulus md)
 {
     u64 p = (u64)md.p;
@@ -66,6 +78,12 @@ static i64 mod_inv(i64 a, i64 p)
     }
     old_s %= p;
     return old_s < 0 ? old_s + p : old_s;
+}
+
+/* 1/a mod p for a in (0, p): from the call's table, or by extended Euclid */
+static inline i64 inverse(i64 a, modulus md)
+{
+    return md.inv ? md.inv[a] : mod_inv(a, md.p);
 }
 
 /* Row-reduce the rows x width matrix a of residues, pivoting on its first
@@ -97,7 +115,7 @@ static int echelon(i64 *a, int rows, int width, int pcols, modulus md, int *piv,
             if (parity)
                 *parity ^= 1;
         }
-        i64 inv = mod_inv(pr[c], p);
+        i64 inv = inverse(pr[c], md);
         if (piv) {
             for (int j = c; j < width; j++)
                 pr[j] = mod_p(pr[j] * inv, md);
@@ -119,12 +137,55 @@ static int echelon(i64 *a, int rows, int width, int pcols, modulus md, int *piv,
 }
 
 /* Level 0's reduction of B0: its RREF red (rows x cols), pivot columns piv
- * and rank rho, as echelon leaves them. */
+ * and rank rho, as echelon leaves them.  When B1 = sum_k l[k] A_k, ak may
+ * hold the products A_k * K (k = 0, 1, 2) with the kernel basis K read off
+ * red, as kernel_products writes them; otherwise ak is NULL. */
 typedef struct {
     const i64 *red;
     const int *piv;
     int rho;
+    const i64 *ak;
+    const i64 *l;
 } reduction;
+
+/* The cols - rho columns that are not among the rho pivot columns piv, in
+ * order, written to freec; returns their number. */
+static int free_columns(const int *piv, int rho, int cols, int *freec)
+{
+    int f = 0;
+    for (int j = 0, t = 0; j < cols; j++) {
+        if (t < rho && piv[t] == j)
+            t++;
+        else
+            freec[f++] = j;
+    }
+    return f;
+}
+
+/* Entry f of row * K, K the kernel basis read off the RREF (red, piv, rho)
+ * of a matrix with cols columns: for the free column f, the kernel column
+ * is e_f - sum_t red[t][f] e_piv[t]. */
+static inline i64 times_kernel(const i64 *row, const i64 *red, const int *piv, int rho, int cols, int f, modulus md)
+{
+    i64 p = md.p, acc = row[f];
+    for (int t = 0; t < rho; t++)
+        acc = mod_p(acc + (p - red[(Py_ssize_t)t * cols + f]) * row[piv[t]], md);
+    return acc;
+}
+
+/* The products A_k * K (k = 0, 1, 2) of the rows x cols matrices a[k] with
+ * the kernel basis K of the RREF (red, piv, rho), written to ak as one
+ * triple per entry of the rows x (cols - rho) product.  freec is scratch for
+ * cols ints. */
+static void kernel_products(i64 *const a[3], int rows, int cols, const i64 *red, const int *piv, int rho,
+                            modulus md, int *freec, i64 *ak)
+{
+    int nu = free_columns(piv, rho, cols, freec);
+    for (int i = 0; i < rows; i++)
+        for (int q = 0; q < nu; q++)
+            for (int k = 0; k < 3; k++)
+                *ak++ = times_kernel(a[k] + (Py_ssize_t)i * cols, red, piv, rho, cols, freec[q], md);
+}
 
 /* First `want` column minimal indices of the pencil s*B0 + t*B1 (rows x
  * cols residues), written to out.  The column staircase (Van Dooren 1979):
@@ -136,24 +197,27 @@ typedef struct {
  * The generic member must have full row rank.  Its probes are the members
  * (s, t) = (1, 0), (0, 1), (1, 1), (1, 2), (1, 3); the first is B0, whose
  * rank level 0's RREF gives, so the others run only when B0 is deficient.
- * A caller that has already reduced B0 passes level0 (else NULL).
+ * A caller that has already reduced B0 passes level0 (else NULL); when its
+ * ak is set, level 0 takes each entry of B1 * K as one reduction of
+ * sum_k l[k] (A_k * K) instead of rho products.
  *
- * work holds 5 * rows * cols residues, iwork 2 * cols ints. */
+ * work holds 5 * rows * cols residues, iwork 2 * cols ints; level0->ak, when
+ * set, 3 * rows * (cols - rows) residues. */
 static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, modulus md, int want,
                           const reduction *level0, i64 *work, int *iwork, i64 *out)
 {
     static const int probes[4][2] = {{0, 1}, {1, 1}, {1, 2}, {1, 3}};
-    i64 p = md.p;
     Py_ssize_t n = (Py_ssize_t)rows * cols;
     i64 *m0 = work, *m1 = work + n, *redw = work + 2 * n, *aug = work + 3 * n;
     int *pivw = iwork, *freec = iwork + cols;
-    const i64 *red = redw;
+    const i64 *red = redw, *ak = NULL;
     const int *piv = pivw;
     int rho;
     if (level0) {
         red = level0->red;
         piv = level0->piv;
         rho = level0->rho;
+        ak = level0->ak;
     } else {
         memcpy(redw, b0, n * sizeof(i64));
         rho = echelon(redw, rows, cols, cols, md, pivw, NULL);
@@ -180,28 +244,23 @@ static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, modu
             rho = echelon(redw, rows, cols, cols, md, pivw, NULL);
             red = redw;
             piv = pivw;
+            ak = NULL;
         }
-        int nu = cols - rho;
+        int nu = free_columns(piv, rho, cols, freec);
         if (nu == 0)
             return DEG_NOT_FOUND;
-        for (int j = 0, t = 0, f = 0; j < cols; j++) {
-            if (t < rho && piv[t] == j)
-                t++;
-            else
-                freec[f++] = j;
-        }
-        /* aug = [B1*K | B0 on pivot columns | B1 on pivot columns], where
-         * kernel column q of B0 is e_f - sum_t red[t][f] e_piv[t], f = freec[q] */
+        /* aug = [B1*K | B0 on pivot columns | B1 on pivot columns] */
         int width = nu + 2 * rho;
         for (int i = 0; i < rows; i++) {
             const i64 *row0 = m0 + (Py_ssize_t)i * cols, *row1 = m1 + (Py_ssize_t)i * cols;
             i64 *a = aug + (Py_ssize_t)i * width;
             for (int q = 0; q < nu; q++) {
-                int f = freec[q];
-                i64 acc = row1[f];
-                for (int t = 0; t < rho; t++)
-                    acc = mod_p(acc + (p - red[(Py_ssize_t)t * cols + f]) * row1[piv[t]], md);
-                a[q] = acc;
+                if (ak) {
+                    const i64 *e = ak + 3 * ((Py_ssize_t)i * nu + q), *l = level0->l;
+                    a[q] = mod_p((u64)(l[0] * e[0]) + (u64)(l[1] * e[1]) + (u64)(l[2] * e[2]), md);
+                } else {
+                    a[q] = times_kernel(row1, red, piv, rho, cols, freec[q], md);
+                }
             }
             for (int t = 0; t < rho; t++) {
                 a[nu + t] = row0[piv[t]];
@@ -233,7 +292,7 @@ static int dual_basis(const i64 *x, modulus md, i64 *l0, i64 *l1)
         i0++;
     if (i0 == 3)
         return -1;
-    i64 inv = mod_inv(x[i0], p);
+    i64 inv = inverse(x[i0], md);
     i64 *forms[2] = {l0, l1};
     for (int j = 0, k = 0; j < 3; j++) {
         if (j == i0)
@@ -273,6 +332,22 @@ static void *alloc(Py_ssize_t count, size_t size)
     if (!mem)
         PyErr_NoMemory();
     return mem;
+}
+
+/* The table of inverses mod the prime p, inv[a] = 1/a for a in (0, p),
+ * filled in O(p) by inv[i] = -(p / i) * inv[p % i], which follows from
+ * p = (p / i) * i + p % i.  Scans build it only when they have at least p
+ * points, so it is no larger than their point buffer.  Returns NULL with an
+ * exception set when the allocation fails. */
+static i64 *inverse_table(modulus md)
+{
+    i64 p = md.p, *inv = alloc(p, sizeof(i64));
+    if (!inv)
+        return NULL;
+    inv[1] = 1;
+    for (i64 i = 2; i < p; i++)
+        inv[i] = mod_p((p - p / i) * inv[p % i], md);
+    return inv;
 }
 
 /* The first n items of the sequence obj as Python ints, each reduced as
@@ -419,18 +494,20 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
     Py_ssize_t n = (Py_ssize_t)rows * cols;
     PyObject *res = NULL;
     i64 *ca[3] = {NULL, NULL, NULL};
-    i64 *pts = NULL, *b = NULL, *red = NULL, *work = NULL, *out = NULL;
+    i64 *pts = NULL, *b = NULL, *red = NULL, *ak = NULL, *work = NULL, *out = NULL, *inv = NULL;
     int *piv = NULL, *iwork = NULL;
+    modulus md = make_modulus(p);
     for (int k = 0; k < 3; k++)
         if (!(ca[k] = read_ints(a[k], n, p)))
             goto done;
     if (!(pts = read_ints(pts_obj, 3 * npts, p)) || !(b = alloc(2 * n, sizeof(i64)))
         || !(red = alloc(2 * n, sizeof(i64))) || !(piv = alloc(2 * (Py_ssize_t)cols, sizeof(int)))
-        || !(work = alloc(5 * n, sizeof(i64))) || !(iwork = alloc(2 * (Py_ssize_t)cols, sizeof(int)))
-        || !(out = alloc(2 * npts, sizeof(i64))))
+        || !(ak = alloc(6 * n, sizeof(i64))) || !(work = alloc(5 * n, sizeof(i64)))
+        || !(iwork = alloc(2 * (Py_ssize_t)cols, sizeof(int))) || !(out = alloc(2 * npts, sizeof(i64)))
+        || (npts >= p && !(inv = inverse_table(md))))
         goto done;
+    md.inv = inv;
     int rc = DEG_OK, bad_point = 0;
-    modulus md = make_modulus(p);
     /* Consecutive plane points share a form of their dual basis: the points
      * (a, b, 1) with a != 0 share l1 = e2 - e0/a along a row, the points
      * (0, b, 1) share l0 = e0 and the points at infinity l1 = e2.  Member h,
@@ -439,9 +516,12 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
      * rho[h], -1 until computed) once the next point shares it.  The column
      * minimal indices do not depend on the basis of the pencil, so the
      * staircase runs with the shared member as B0.  Its full row rank
-     * proves the generic rank, so no probe runs; when it is deficient the
-     * point takes the plain call on (B0, B1), whose probes and errors the
-     * per-point kernel has. */
+     * proves the generic rank, so no probe runs, and with its RREF comes
+     * A_k * K for its kernel basis K (ak, 3 * n residues per member):
+     * level 0's B1 * K is then the combination sum_k l[k] A_k * K for the
+     * other form l.  When the shared member is
+     * deficient the point takes the plain call on (B0, B1), whose probes
+     * and errors the per-point kernel has. */
     i64 form[2][3] = {{0, 0, 0}, {0, 0, 0}};
     int rho[2] = {-1, -1};
     Py_BEGIN_ALLOW_THREADS
@@ -468,9 +548,12 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
         if (shared >= 0 && rho[shared] < 0) {
             memcpy(red + shared * n, b + shared * n, n * sizeof(i64));
             rho[shared] = echelon(red + shared * n, rows, cols, cols, md, piv + shared * cols, NULL);
+            if (rho[shared] == rows)
+                kernel_products(ca, rows, cols, red + shared * n, piv + shared * cols, rows, md, iwork,
+                                ak + shared * 3 * n);
         }
         if (shared >= 0 && rho[shared] == rows) {
-            reduction level0 = {red + shared * n, piv + shared * cols, rows};
+            reduction level0 = {red + shared * n, piv + shared * cols, rows, ak + shared * 3 * n, form[1 - shared]};
             rc = pencil_degrees(b + shared * n, b + (1 - shared) * n, rows, cols, md, 2, &level0, work, iwork,
                                 out + 2 * pt);
         } else {
@@ -487,8 +570,8 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
 done:
     for (int k = 0; k < 3; k++)
         PyMem_Free(ca[k]);
-    PyMem_Free(pts); PyMem_Free(b); PyMem_Free(red); PyMem_Free(piv); PyMem_Free(work); PyMem_Free(iwork);
-    PyMem_Free(out);
+    PyMem_Free(pts); PyMem_Free(b); PyMem_Free(red); PyMem_Free(piv); PyMem_Free(ak); PyMem_Free(work);
+    PyMem_Free(iwork); PyMem_Free(out); PyMem_Free(inv);
     return res;
 }
 
@@ -608,13 +691,14 @@ static PyObject *form_matrix_scan(PyObject *self, PyObject *args, PyObject *kwar
     }
     PyObject *res = NULL;
     i64 deg = 0;
-    i64 *cc = NULL, *ee = NULL, *pts = NULL, *pw = NULL, *mv = NULL, *a = NULL, *out = NULL;
+    i64 *cc = NULL, *ee = NULL, *pts = NULL, *pw = NULL, *mv = NULL, *a = NULL, *out = NULL, *inv = NULL;
+    modulus md = make_modulus(p);
     if (!(cc = read_ints(coeffs_obj, nent * nmono, p)) || !(ee = read_exponents(exps_obj, nmono, &deg))
         || !(pts = read_ints(pts_obj, 3 * npts, p)) || !(pw = alloc(3 * (deg + 1), sizeof(i64)))
         || !(mv = alloc(nmono, sizeof(i64))) || !(a = alloc(nent, sizeof(i64)))
-        || !(out = alloc(2 * npts, sizeof(i64))))
+        || !(out = alloc(2 * npts, sizeof(i64))) || (npts >= p && !(inv = inverse_table(md))))
         goto done;
-    modulus md = make_modulus(p);
+    md.inv = inv;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t pt = 0; pt < npts; pt++) {
         monomial_values(pts + 3 * pt, ee, nmono, deg, md, pw, mv);
@@ -637,7 +721,7 @@ static PyObject *form_matrix_scan(PyObject *self, PyObject *args, PyObject *kwar
     res = int_list(out, 2 * npts);
 done:
     PyMem_Free(cc); PyMem_Free(ee); PyMem_Free(pts); PyMem_Free(pw); PyMem_Free(mv); PyMem_Free(a);
-    PyMem_Free(out);
+    PyMem_Free(out); PyMem_Free(inv);
     return res;
 }
 

@@ -60,10 +60,17 @@ def _rref(m0, rows: int, cols: int, p: int):
     return r0, _echelon(r0, rows, cols, cols, p, reduced=True)[0]
 
 
-def _staircase_level(m0, m1, r0, piv, rows: int, cols: int, p: int):
+def _times_kernel(row, r0, piv, free, p: int) -> list:
+    """row*K mod p, K the kernel basis read off the RREF (r0, piv) whose
+    non-pivot columns are free: column f of K is e_f - sum_t r0[t][f] e_piv[t]."""
+    return [(row[f] - sum(r0[t][f] * row[j] for t, j in enumerate(piv))) % p for f in free]
+
+
+def _staircase_level(m0, m1, r0, piv, rows: int, cols: int, p: int, m1k=None):
     """One step of the column staircase of the pencil s*M0 + t*M1 (row lists).
 
-    r0 and piv are `_rref(m0)`.  Returns (nu, mu, next0, next1): nu = dim
+    r0 and piv are `_rref(m0)`; m1k is M1*K for the kernel basis K read off
+    them, when the caller has it.  Returns (nu, mu, next0, next1): nu = dim
     ker M0, mu = rank of M1 on that kernel, and the (rows - mu) x rank(M0)
     pencil whose column indices are one less than the remaining ones of this
     pencil.
@@ -71,12 +78,11 @@ def _staircase_level(m0, m1, r0, piv, rows: int, cols: int, p: int):
     rho = len(piv)
     free = [j for j in range(cols) if j not in piv]
     nu = len(free)
-    # [M1*K | M0 on pivot columns | M1 on pivot columns], K the kernel basis
-    # read off the RREF: column f of K is e_f - sum_t r0[t][f] e_piv[t]
+    # [M1*K | M0 on pivot columns | M1 on pivot columns]
     aug = []
     for i in range(rows):
         row1 = m1[i]
-        x = [(row1[f] - sum(r0[t][f] * row1[piv[t]] for t in range(rho))) % p for f in free]
+        x = _times_kernel(row1, r0, piv, free, p) if m1k is None else m1k[i]
         aug.append(x + [m0[i][j] for j in piv] + [row1[j] for j in piv])
     mu = len(_echelon(aug, rows, nu + 2 * rho, nu, p)[0])
     rest = aug[mu:]
@@ -102,8 +108,9 @@ def pencil_kernel_degrees(b0, b1, rows: int, cols: int, p: int, want: int = 2):
 
 def _pencil_degrees(m0, m1, rows: int, cols: int, p: int, want: int, level0=None):
     """`pencil_kernel_degrees` on the row lists m0, m1 (residues), which it
-    does not modify; level0 is `_rref(m0)` when the caller already has it."""
-    r0, piv = level0 or _rref(m0, rows, cols, p)
+    does not modify.  level0 is (r0, piv, m1k) when the caller already has
+    `_rref(m0)`, with m1k its level-0 M1*K or None."""
+    r0, piv, m1k = level0 or (*_rref(m0, rows, cols, p), None)
     best = len(piv)
     for s, t in ((0, 1), (1, 1), (1, 2), (1, 3)):
         if best == rows:
@@ -119,7 +126,8 @@ def _pencil_degrees(m0, m1, rows: int, cols: int, p: int, want: int, level0=None
     while len(found) < want:
         if level:
             r0, piv = _rref(m0, rows, cols, p)
-        nu, mu, m0, m1 = _staircase_level(m0, m1, r0, piv, rows, cols, p)
+            m1k = None
+        nu, mu, m0, m1 = _staircase_level(m0, m1, r0, piv, rows, cols, p, m1k)
         if nu == 0:
             raise ArithmeticError("minimal indices not found within the degree cap")
         found += [level] * (nu - mu)
@@ -154,10 +162,14 @@ def splitting_scan(a0, a1, a2, rows: int, cols: int, pts_flat, p: int):
     2 * npoints ints (degree pair per point, ascending).  Consecutive points
     that share a form of their dual basis share its member, which is built
     once and reduced once it is shared; the staircase then runs with the
-    shared member as B0 (see `splitting_scan` in _fastkern.c).
+    shared member as B0 (see `splitting_scan` in _fastkern.c).  A shared
+    member of full row rank also gets the products A_k*K with its kernel
+    basis K, one triple per entry, so that level 0's B1*K is their
+    combination by the other form.
     """
     npts = len(pts_flat) // 3
     entries = [(a0[i], a1[i], a2[i]) for i in range(rows * cols)]
+    a_rows = [[a[i * cols : (i + 1) * cols] for i in range(rows)] for a in (a0, a1, a2)]
     out = [0] * (2 * npts)
     forms, members, level0 = [None, None], [None, None], [None, None]
     for n in range(npts):
@@ -173,9 +185,15 @@ def splitting_scan(a0, a1, a2, rows: int, cols: int, pts_flat, p: int):
             flat = [(c0 * x + c1 * y + c2 * z) % p for x, y, z in entries]
             members[h] = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
         if shared is not None and level0[shared] is None:
-            level0[shared] = _rref(members[shared], rows, cols, p)
+            r0, piv = _rref(members[shared], rows, cols, p)
+            free = [j for j in range(cols) if j not in piv]
+            ak = [list(zip(*(_times_kernel(a[i], r0, piv, free, p) for a in a_rows))) for i in range(rows)]
+            level0[shared] = r0, piv, ak
         if shared is not None and len(level0[shared][1]) == rows:
-            degs = _pencil_degrees(members[shared], members[1 - shared], rows, cols, p, 2, level0[shared])
+            r0, piv, ak = level0[shared]
+            c0, c1, c2 = ls[1 - shared]
+            m1k = [[(c0 * x + c1 * y + c2 * z) % p for x, y, z in row] for row in ak]
+            degs = _pencil_degrees(members[shared], members[1 - shared], rows, cols, p, 2, (r0, piv, m1k))
         else:
             degs = _pencil_degrees(members[0], members[1], rows, cols, p, 2)
         out[2 * n], out[2 * n + 1] = degs

@@ -300,7 +300,10 @@ def test_splitting_scan_backend_parity():
     # the whole plane of F_31, with the jumping points of an even and an odd
     # m, in plane order, reversed and shuffled: consecutive plane points share
     # a member of their restricted pencils, which the scan builds and reduces
-    # once and runs the staircase from; shuffled, few neighbours share one
+    # once and runs the staircase from; shuffled, few neighbours share one.
+    # A scan of at least p points inverts from a table, so here the compiled
+    # scan's table is checked against the per-point kernel's extended Euclid
+    # and the pure twin's pow(x, p - 2, p)
     p = 31
     pts = plane_points(p)
     orders = (pts, pts[::-1], random.Random(5).sample(pts, len(pts)))
@@ -324,6 +327,7 @@ def test_splitting_scan_falls_back_when_the_shared_member_is_deficient():
     # last two share K1, which is deficient (its J(0) block).  Every probe
     # of (K0, K1) is deficient, so that point must raise as the per-point
     # kernel does, although K1 + 2*K0, a probe of (K1, K0), has full rank.
+    # Scans of 1-3 points invert by extended Euclid, not from a table.
     p = 31
     field = prime_field(p)
     finite = [(1, field.of(lam)) for lam in (0, -1, "-1/2", "-1/3")]
@@ -350,7 +354,8 @@ def test_splitting_scan_falls_back_when_the_shared_member_is_deficient():
 
 @pytest.mark.parametrize("m", [8, 9])
 def test_splitting_scan_backend_parity_near_the_compiled_limit(m):
-    # residues near 2**31 keep the quotients of every reduction at their largest
+    # residues near 2**31 keep the quotients of every reduction at their
+    # largest; 290 + m points are far fewer than p, so inverses are by Euclid
     p = COMPILED_P_LIMIT - 1
     cfg = random_config(m, prime_field(p), seed=5)
     sp = steiner_pencil(cfg)
@@ -400,7 +405,9 @@ def _low_rank_forms(rng, rows, cols, k, p):
 @pytest.mark.parametrize("p", [2, 3, 101, COMPILED_P_LIMIT - 1, LARGE_P])
 def test_form_matrix_scan_matches_generic_linalg(p):
     # rank and determinant of the evaluated matrix, as algebra computes them
-    # from hf_eval; LARGE_P runs on the pure twin whatever the backend
+    # from hf_eval; LARGE_P runs on the pure twin whatever the backend.  A
+    # compiled scan of at least p points inverts from a table, of fewer by
+    # extended Euclid: every third trial of a small p takes exactly p points
     field = prime_field(p)
     rng = random.Random(p)
     impls = [impl for impl in IMPLS.values() if p < COMPILED_P_LIMIT or impl.BACKEND == "pure"]
@@ -414,7 +421,8 @@ def test_form_matrix_scan_matches_generic_linalg(p):
         exps = [v for e in monomials(d) for v in e]
         # the same residues written as negative and as wider-than-64-bit ints
         coeffs = [int(c) + rng.choice((-1, 1, 2**70)) * p for row in a for f in row for c in f.coeffs]
-        pts = [(rng.randrange(p), rng.randrange(p), 1) for _ in range(6)] + [(1, 0, 0), (rng.randrange(p), 1, 0)]
+        naffine = p - 2 if trial % 3 == 0 and p <= 101 else 6
+        pts = [(rng.randrange(p), rng.randrange(p), 1) for _ in range(naffine)] + [(1, 0, 0), (rng.randrange(p), 1, 0)]
         flat = [c for pt in pts for c in pt]
         outs = [[int(v) for v in impl.form_matrix_scan(coeffs, exps, rows, cols, flat, p)] for impl in impls]
         assert form_matrix_scan(coeffs, exps, rows, cols, flat, p) == outs[0]
