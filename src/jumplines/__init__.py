@@ -17,12 +17,11 @@ from .jumping import (
     containment_monoidal,
     gamma_points,
     jumping_scan,
-    length_accounting,
     ninth_point,
     pencil4_eliminant,
     pinceau_factorization,
 )
-from .intersect import ChernPoly, cokernel_chern, jumping_length, tangency_degree
+from .intersect import ChernPoly, cokernel_chern, jumping_length, length_accounting, tangency_degree
 
 __version__ = "0.1.0"
 

@@ -308,10 +308,51 @@ static int dual_basis(const i64 *x, modulus md, i64 *l0, i64 *l1)
 
 /* ---- Python boundary ---------------------------------------------------- */
 
+/* Deterministic Miller-Rabin for 2 <= n < 2**31: the bases 2, 7 and 61 decide
+ * every n below 4 759 123 141 (Jaeschke 1993), and n < 2**31 keeps each
+ * product of two residues below 2**62. */
+static int is_prime(i64 n)
+{
+    static const i64 bases[3] = {2, 7, 61};
+    for (int i = 0; i < 3; i++)
+        if (n % bases[i] == 0)
+            return n == bases[i];
+    i64 d = n - 1;
+    int s = 0;
+    while (d % 2 == 0) {
+        d /= 2;
+        s++;
+    }
+    for (int i = 0; i < 3; i++) {
+        i64 x = 1, b = bases[i];
+        for (i64 e = d; e; e >>= 1) {
+            if (e & 1)
+                x = x * b % n;
+            b = b * b % n;
+        }
+        if (x == 1 || x == n - 1)
+            continue;
+        int r = 1;
+        for (; r < s; r++) {
+            x = x * x % n;
+            if (x == n - 1)
+                break;
+        }
+        if (r == s)
+            return 0;
+    }
+    return 1;
+}
+
+/* Every inverse in the kernels assumes a prime modulus. */
 static int check_modulus(i64 p)
 {
     if (p < 2 || p >= P_LIMIT) {
         PyErr_SetString(PyExc_ValueError, "compiled kernels need a modulus in [2, 2**31)");
+        return -1;
+    }
+    if (!is_prime(p)) {
+        PyErr_Format(PyExc_ValueError, "the kernels need a prime modulus, got %lld", p);
         return -1;
     }
     return 0;

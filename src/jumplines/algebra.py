@@ -288,44 +288,26 @@ def _det_bareiss_int(a: list) -> int:
 
 
 def det(field: FieldSpec, m: Mat):
-    """Exact determinant; Bareiss over the rationals, Gauss over F_p."""
+    """Exact determinant by fraction-free Bareiss elimination.
+
+    Over F_p it runs on the residues and reduces the integer result mod p;
+    over the rationals on the rows cleared of their denominators.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return field.one
-    if field.kind == "q":
-        scale = Fraction(1)
-        a = []
-        for i in range(n):
-            row = [Fraction(v) for v in m.row(i)]
-            d = lcm(*(v.denominator for v in row))
-            scale *= d
-            a.append([int(v * d) for v in row])
-        return Fraction(_det_bareiss_int(a), 1) / scale
-    p = field.p
-    a = m.to_lists()
-    sign = 1
-    detv = 1
-    for c in range(n):
-        sel = -1
-        for i in range(c, n):
-            if a[i][c] % p:
-                sel = i
-                break
-        if sel < 0:
-            return 0
-        if sel != c:
-            a[c], a[sel] = a[sel], a[c]
-            sign = -sign
-        piv = a[c][c] % p
-        detv = detv * piv % p
-        inv = pow(piv, p - 2, p)
-        for i in range(c + 1, n):
-            f = a[i][c] * inv % p
-            if f:
-                a[i] = [(a[i][j] - f * a[c][j]) % p for j in range(n)]
-    return detv * sign % p
+    if field.kind == "fp":
+        return _det_bareiss_int(m.to_lists()) % field.p
+    scale = Fraction(1)
+    a = []
+    for i in range(n):
+        row = [Fraction(v) for v in m.row(i)]
+        d = lcm(*(v.denominator for v in row))
+        scale *= d
+        a.append([int(v * d) for v in row])
+    return Fraction(_det_bareiss_int(a), 1) / scale
 
 
 def solve_exact(field: FieldSpec, m: Mat, b):

@@ -14,14 +14,8 @@ import sys
 from .algebra import DegenerateInputError, FieldSpec, distinct_degree_profile, prime_field, up_squarefree_part
 from .forms import monoidal_det
 from .geom import PointConfig, random_config, validate_config
-from .intersect import jumping_length, tangency_degree
-from .jumping import (
-    gamma_points,
-    jumping_scan,
-    length_accounting,
-    lift_eliminant_roots,
-    pencil4_eliminant,
-)
+from .intersect import length_accounting, tangency_degree
+from .jumping import gamma_points, jumping_scan, lift_eliminant_roots, pencil4_eliminant
 from .render import render_svg
 from .verify import SHIPPED_SEEDS, run_all
 
@@ -233,7 +227,7 @@ def cmd_degrees(args) -> int:
                 "n": n,
                 "dim": dim,
                 "deg": deg,
-                "jumping_length": jumping_length(n),
+                "jumping_length": total,
                 "z_part": z_part,
                 "gamma_part": gamma_part,
             }

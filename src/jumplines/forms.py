@@ -25,13 +25,7 @@ from .algebra import (
     up_interpolate,
     up_trim,
 )
-from .geom import PointConfig, Point, scalar_pow
-
-
-@lru_cache(maxsize=None)
-def monomials(d: int) -> tuple:
-    """Exponent triples of degree d, deg-lex descending."""
-    return tuple((a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1))
+from .geom import PointConfig, Point, evaluation_rows, monomials
 
 
 @lru_cache(maxsize=None)
@@ -113,18 +107,10 @@ def hf_mul(field: FieldSpec, f: HForm, g: HForm) -> HForm:
 
 
 def hf_eval(field: FieldSpec, f: HForm, x: Point):
-    p0 = [field.one]
-    p1 = [field.one]
-    p2 = [field.one]
-    for _ in range(f.degree):
-        p0.append(field.mul(p0[-1], x[0]))
-        p1.append(field.mul(p1[-1], x[1]))
-        p2.append(field.mul(p2[-1], x[2]))
     acc = field.zero
-    for (a, b, c), cf in zip(monomials(f.degree), f.coeffs):
-        if field.is_zero(cf):
-            continue
-        acc = field.add(acc, field.mul(cf, field.mul(field.mul(p0[a], p1[b]), p2[c])))
+    for v, cf in zip(evaluation_rows(field, (x,), f.degree)[0], f.coeffs):
+        if not field.is_zero(cf):
+            acc = field.add(acc, field.mul(cf, v))
     return acc
 
 
@@ -241,21 +227,12 @@ def curves_through(cfg: PointConfig, d: int) -> LinearSystem:
     if d < 1:
         raise ValueError("degree must be positive")
     field = cfg.field
-    mons = monomials(d)
-    rows = []
-    for pt in cfg.points:
-        p0 = [field.one]
-        p1 = [field.one]
-        p2 = [field.one]
-        for _ in range(d):
-            p0.append(field.mul(p0[-1], pt[0]))
-            p1.append(field.mul(p1[-1], pt[1]))
-            p2.append(field.mul(p2[-1], pt[2]))
-        rows.append([field.mul(field.mul(p0[a], p1[b]), p2[c]) for (a, b, c) in mons])
+    rows = evaluation_rows(field, cfg.points, d)
     if rows:
         ker = kernel_basis(field, Mat.from_rows(rows))
     else:
-        ker = [tuple(field.one if i == j else field.zero for i in range(len(mons))) for j in range(len(mons))]
+        size = basis_size(d)
+        ker = [tuple(field.one if i == j else field.zero for i in range(size)) for j in range(size)]
     basis = tuple(HForm(d, tuple(v)) for v in ker)
     return LinearSystem(d, basis, cfg)
 
@@ -481,7 +458,9 @@ def _axis_coefficients(field: FieldSpec, f: HForm, axis: int):
 def _eval_binary(field: FieldSpec, coeffmap: dict, u, v):
     acc = field.zero
     for (a, b), c in coeffmap.items():
-        acc = field.add(acc, field.mul(c, field.mul(scalar_pow(field, u, a), scalar_pow(field, v, b))))
+        for x in (u,) * a + (v,) * b:
+            c = field.mul(c, x)
+        acc = field.add(acc, c)
     return acc
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 from . import kernels
@@ -112,30 +113,32 @@ class PointConfig:
         return cls(pts, field)
 
 
-def _degree_exponents(d: int):
-    return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
+@lru_cache(maxsize=None)
+def monomials(d: int) -> tuple:
+    """Exponent triples of degree d, deg-lex descending."""
+    return tuple((a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1))
+
+
+def evaluation_rows(field: FieldSpec, points, d: int) -> list:
+    """Values of the degree-d monomials (`monomials` order) at each point, one row per point."""
+    mons = monomials(d)
+    mul = field.mul
+    rows = []
+    for pt in points:
+        p0, p1, p2 = ([field.one] for _ in range(3))
+        for _ in range(d):
+            p0.append(mul(p0[-1], pt[0]))
+            p1.append(mul(p1[-1], pt[1]))
+            p2.append(mul(p2[-1], pt[2]))
+        rows.append([mul(mul(p0[a], p1[b]), p2[c]) for a, b, c in mons])
+    return rows
 
 
 def _evaluation_rank(field: FieldSpec, points, d: int) -> int:
-    exps = _degree_exponents(d)
+    rows = evaluation_rows(field, points, d)
     if field.kind == "fp":
-        p = field.p
-        flat = [pow(x, a, p) * pow(y, b, p) * pow(z, c, p) % p for x, y, z in points for a, b, c in exps]
-        return kernels.rank_mod_p(flat, len(points), len(exps), p)
-    rows = []
-    for pt in points:
-        rows.append([
-            field.mul(field.mul(scalar_pow(field, pt[0], a), scalar_pow(field, pt[1], b)), scalar_pow(field, pt[2], c))
-            for (a, b, c) in exps
-        ])
+        return kernels.rank_mod_p([v for row in rows for v in row], len(rows), len(monomials(d)), field.p)
     return rank(field, Mat.from_rows(rows))
-
-
-def scalar_pow(field: FieldSpec, x, e: int):
-    out = field.one
-    for _ in range(e):
-        out = field.mul(out, x)
-    return out
 
 
 def validate_config(cfg: PointConfig, degrees=()) -> None:
@@ -166,18 +169,13 @@ def validate_config(cfg: PointConfig, degrees=()) -> None:
             )
 
 
-def default_validation_degrees(count: int) -> tuple:
-    """Degrees the scans will use for a configuration of this size."""
-    return tuple(range(1, count // 2 + 1))
-
-
-def random_config(count: int, field: FieldSpec, seed: int, degrees_to_validate=None,
-                  retries: int = 1000) -> PointConfig:
+def random_config(count: int, field: FieldSpec, seed: int, retries: int = 1000) -> PointConfig:
     """Seeded random configuration in linear general position.
 
     Deterministic in ``(count, field, seed)``.  Rejection-resamples until no
-    three points are collinear and the imposed-condition ranks hold for every
-    requested degree; raises after the retry budget (field too small).
+    three points are collinear and the points impose independent conditions
+    in every degree up to count // 2, the degrees the scans use; raises after
+    the retry budget (field too small).
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -185,8 +183,6 @@ def random_config(count: int, field: FieldSpec, seed: int, degrees_to_validate=N
         raise DegenerateInputError(
             f"field fp:{field.p} too small for {count} points in general position"
         )
-    if degrees_to_validate is None:
-        degrees_to_validate = default_validation_degrees(count)
     rng = random.Random(f"jumplines:config:{field.tag}:{count}:{seed}")
 
     def draw() -> Point:
@@ -221,7 +217,7 @@ def random_config(count: int, field: FieldSpec, seed: int, degrees_to_validate=N
             continue
         cfg = PointConfig(tuple(pts), field)
         try:
-            validate_config(cfg, degrees_to_validate)
+            validate_config(cfg, range(1, count // 2 + 1))
         except DegenerateInputError:
             continue
         return cfg

@@ -90,12 +90,22 @@ def tangency_degree(n: int):
     return dim, int(deg)
 
 
-def jumping_length(n: int) -> int:
-    """Total length binom((n-1)^2, 2), checked against its split."""
+def length_accounting(n: int):
+    """(total, part on Z, part on Gamma) of the length of the jumping scheme.
+
+    total = binom((n-1)^2, 2) splits as 2n * binom(n-1, 2) from the n-fold
+    points of Z plus n(n-1)(n-2)(n-3)/2 from Gamma.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     total = binomial((n - 1) ** 2, 2)
-    split = 2 * n * binomial(n - 1, 2) + n * (n - 1) * (n - 2) * (n - 3) // 2
-    if total != split:
+    z_part = 2 * n * binomial(n - 1, 2)
+    gamma_part = n * (n - 1) * (n - 2) * (n - 3) // 2
+    if total != z_part + gamma_part:
         raise ArithmeticError("length split identity failed")
-    return total
+    return total, z_part, gamma_part
+
+
+def jumping_length(n: int) -> int:
+    """Total length binom((n-1)^2, 2), checked against its split."""
+    return length_accounting(n)[0]

@@ -22,7 +22,6 @@ from .algebra import (
     DegenerateInputError,
     FieldSpec,
     Mat,
-    binomial,
     det,
     kernel_basis,
     mat_inverse,
@@ -33,6 +32,8 @@ from .algebra import (
 )
 from .forms import (
     HForm,
+    _axis_coefficients,
+    _eval_binary,
     _symbolic_jet_rows,
     curves_through,
     gamma_minor_matrix,
@@ -53,6 +54,7 @@ from .forms import (
     binary_form_to_upoly,
 )
 from .geom import PointConfig, Point, flat_coords, normalize_point, plane_points, validate_config
+from .intersect import length_accounting
 from .steiner import generic_eps1, splitting_columns, steiner_pencil
 
 
@@ -132,16 +134,6 @@ def gamma_points(cfg: PointConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    point: Point
-    eps1: int
-    eps2: int
-    order: int
-    in_z: bool
-    in_gamma: bool
-
-
 # one report row (x0, x1, x2, eps1, eps2, order, in_z, in_gamma), written as
 # json.dumps(indent=2) writes a list of ints inside the "records" list, and
 # as csv.writer writes it
@@ -168,8 +160,7 @@ class JumpingReport:
     splitting type (`eps1[i]`, `eps2[i]`).
 
     The jumping order and the Z and Gamma flags of each row are derived from
-    the configuration and `gamma`; `records` builds one `PointRecord` per row
-    for readers that want objects.
+    the configuration and `gamma`.
     """
 
     config: PointConfig
@@ -201,15 +192,9 @@ class JumpingReport:
     def in_gamma(self) -> bytes:
         return self._flags(self.gamma)
 
-    def _columns(self):
-        return zip(self.points, self.eps1, self.eps2, self.order(), self.in_z(), self.in_gamma())
-
-    @property
-    def records(self) -> tuple:
-        return tuple(PointRecord(pt, a, b, o, bool(z), bool(g)) for pt, a, b, o, z, g in self._columns())
-
     def _formatted_rows(self, template: str) -> list:
-        return [template % (x0, x1, x2, a, b, o, z, g) for (x0, x1, x2), a, b, o, z, g in self._columns()]
+        columns = zip(self.points, self.eps1, self.eps2, self.order(), self.in_z(), self.in_gamma())
+        return [template % (x0, x1, x2, a, b, o, z, g) for (x0, x1, x2), a, b, o, z, g in columns]
 
     def to_json(self) -> str:
         f = self.config.field
@@ -310,29 +295,11 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
 
 
 # ---------------------------------------------------------------------------
-# Length bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def length_accounting(n: int):
-    """(total, part on Z, part on Gamma) of the length of the jumping scheme.
-
-    total = binom((n-1)^2, 2) splits as 2n * binom(n-1, 2) from the n-fold
-    points of Z plus n(n-1)(n-2)(n-3)/2 from Gamma.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    total = binomial((n - 1) ** 2, 2)
-    z_part = 2 * n * binomial(n - 1, 2)
-    gamma_part = n * (n - 1) * (n - 2) * (n - 3) // 2
-    if total != z_part + gamma_part:
-        raise ArithmeticError("length split identity failed")
-    return total, z_part, gamma_part
-
-
-# ---------------------------------------------------------------------------
 # Random coordinate changes
 # ---------------------------------------------------------------------------
+
+# coordinate changes the eliminant pipeline and the ninth point draw before giving up
+_TRANSFORM_RETRIES = 24
 
 
 def _random_transform(field: FieldSpec, rng):
@@ -377,7 +344,7 @@ class Pencil4Result:
     pencil_basis: tuple  # (f0, f1) in transformed coordinates
 
 
-def pencil4_eliminant(cfg: PointConfig, transform_seed: int = 0, retries: int = 24) -> Pencil4Result:
+def pencil4_eliminant(cfg: PointConfig, transform_seed: int = 0) -> Pencil4Result:
     """Eliminate the singular-point conditions of the cubic pencil through 8 points.
 
     With pencil basis (f0, f1) and the 2x2 minors M01, M02 of the matrix of
@@ -392,7 +359,7 @@ def pencil4_eliminant(cfg: PointConfig, transform_seed: int = 0, retries: int = 
         raise DegenerateInputError("the eliminant pipeline needs exactly 8 points")
     rng = random.Random(f"jumplines:pencil4:{field.tag}:{transform_seed}")
     last = "no attempt"
-    for attempt in range(1, retries + 1):
+    for attempt in range(1, _TRANSFORM_RETRIES + 1):
         t, tinv = _random_transform(field, rng)
         zt = _transform_config(cfg, t)
         system = curves_through(zt, 3)
@@ -419,7 +386,7 @@ def pencil4_eliminant(cfg: PointConfig, transform_seed: int = 0, retries: int = 
             r12=q, r16=r16, r4=r4, transform=t, transform_inv=tinv,
             attempts=attempt, minors=(m01, m02), pencil_basis=(f0, f1),
         )
-    raise DegenerateInputError(f"eliminant pipeline failed after {retries} coordinate changes ({last})")
+    raise DegenerateInputError(f"eliminant pipeline failed after {_TRANSFORM_RETRIES} coordinate changes ({last})")
 
 
 def _two_by_two(field: FieldSpec, rowa, rowb) -> HForm:
@@ -459,15 +426,8 @@ def lift_eliminant_roots(cfg: PointConfig, res: Pencil4Result) -> list:
 
 def _restrict_to_vertical_line(field: FieldSpec, f: HForm, tval):
     """f(1, t, x2) as a univariate polynomial in x2."""
-    out = [field.zero] * (f.degree + 1)
-    tpow = [field.one]
-    for _ in range(f.degree):
-        tpow.append(field.mul(tpow[-1], tval))
-    for (a, b, c), cf in zip(monomials(f.degree), f.coeffs):
-        if field.is_zero(cf):
-            continue
-        out[c] = field.add(out[c], field.mul(cf, tpow[b]))
-    return up_trim(field, out)
+    by_power, _ = _axis_coefficients(field, f, 2)
+    return up_trim(field, [_eval_binary(field, c, field.one, tval) for c in by_power])
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +435,7 @@ def _restrict_to_vertical_line(field: FieldSpec, f: HForm, tval):
 # ---------------------------------------------------------------------------
 
 
-def ninth_point(cfg: PointConfig, transform_seed: int = 0, retries: int = 24) -> Point:
+def ninth_point(cfg: PointConfig) -> Point:
     """Residual base point of the pencil of cubics through 8 general points.
 
     Eliminates x2 from the pencil basis, strips the eight known root factors
@@ -489,9 +449,9 @@ def ninth_point(cfg: PointConfig, transform_seed: int = 0, retries: int = 24) ->
     if system.dim() != 2:
         raise DegenerateInputError("cubics through the 8 points do not form a pencil")
     f0_orig, f1_orig = system.basis
-    rng = random.Random(f"jumplines:ninth:{field.tag}:{transform_seed}")
+    rng = random.Random(f"jumplines:ninth:{field.tag}:0")
     last = "no attempt"
-    for attempt in range(retries):
+    for _ in range(_TRANSFORM_RETRIES):
         t, tinv = _random_transform(field, rng)
         zt = _transform_config(cfg, t)
         if any(field.is_zero(pt[0]) for pt in zt.points):
@@ -542,7 +502,7 @@ def ninth_point(cfg: PointConfig, transform_seed: int = 0, retries: int = 24) ->
             last = "back-substituted point is not a base point"
             continue
         return pt
-    raise DegenerateInputError(f"ninth point not found after {retries} coordinate changes ({last})")
+    raise DegenerateInputError(f"ninth point not found after {_TRANSFORM_RETRIES} coordinate changes ({last})")
 
 
 # ---------------------------------------------------------------------------

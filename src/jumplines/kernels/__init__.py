@@ -8,7 +8,8 @@ benchmark).
 The compiled kernels hold residues in signed 64-bit integers and multiply two
 of them before reducing.  Below COMPILED_P_LIMIT = 2**31 such a product stays
 under 2**62, which leaves room for the sums around it; calls with a larger p
-run on the pure twin, whatever the backend.
+run on the pure twin, whatever the backend.  Both backends raise ValueError
+for a modulus that is not prime.
 """
 
 from __future__ import annotations

@@ -8,7 +8,19 @@ is set); the two backends must agree bit for bit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from ..algebra import is_prime
+
 BACKEND = "pure"
+
+_is_prime = lru_cache(maxsize=None)(is_prime)  # each modulus is tested once
+
+
+def _check_modulus(p: int) -> None:
+    """Every inverse here assumes a prime modulus."""
+    if not _is_prime(p):
+        raise ValueError(f"the kernels need a prime modulus, got {p}")
 
 
 def _echelon(a, rows: int, width: int, pcols: int, p: int, reduced: bool = False):
@@ -50,6 +62,7 @@ def _echelon(a, rows: int, width: int, pcols: int, p: int, reduced: bool = False
 
 
 def rank_mod_p(flat, rows: int, cols: int, p: int) -> int:
+    _check_modulus(p)
     a = [[v % p for v in flat[i * cols : (i + 1) * cols]] for i in range(rows)]
     return len(_echelon(a, rows, cols, cols, p)[0])
 
@@ -101,6 +114,7 @@ def pencil_kernel_degrees(b0, b1, rows: int, cols: int, p: int, want: int = 2):
     (1, 0), (0, 1), (1, 1), (1, 2), (1, 3); the first is B0, whose rank
     level 0's RREF gives, so the others run only when B0 is deficient.
     """
+    _check_modulus(p)
     m0 = [[b0[i * cols + j] % p for j in range(cols)] for i in range(rows)]
     m1 = [[b1[i * cols + j] % p for j in range(cols)] for i in range(rows)]
     return _pencil_degrees(m0, m1, rows, cols, p, want)
@@ -167,6 +181,7 @@ def splitting_scan(a0, a1, a2, rows: int, cols: int, pts_flat, p: int):
     basis K, one triple per entry, so that level 0's B1*K is their
     combination by the other form.
     """
+    _check_modulus(p)
     npts = len(pts_flat) // 3
     entries = [(a0[i], a1[i], a2[i]) for i in range(rows * cols)]
     a_rows = [[a[i * cols : (i + 1) * cols] for i in range(rows)] for a in (a0, a1, a2)]
@@ -226,6 +241,7 @@ def _monomial_values(x0: int, x1: int, x2: int, exps, deg: int, p: int) -> list:
 
 def eval_form_many(coeffs, exps_flat, pts_flat, p: int):
     """Evaluate one form (coefficients + flat exponent triples) at many points."""
+    _check_modulus(p)
     exps, deg = _exponents(exps_flat, len(coeffs))
     terms = [(k, c % p) for k, c in enumerate(coeffs) if c % p]
     out = []
@@ -243,6 +259,7 @@ def form_matrix_scan(coeffs, exps_flat, rows: int, cols: int, pts_flat, p: int):
     2 * npoints ints: per point the rank of the evaluated matrix and its
     determinant, which is 0 unless the matrix is square and of full rank.
     """
+    _check_modulus(p)
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be non-negative")
     nmono = len(exps_flat) // 3

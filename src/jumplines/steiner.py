@@ -26,7 +26,6 @@ class SteinerPencil:
     A1: Mat
     A2: Mat
     config: PointConfig
-    lifts: tuple
 
     def matrices(self):
         return (self.A0, self.A1, self.A2)
@@ -118,7 +117,7 @@ def steiner_pencil(cfg: PointConfig) -> SteinerPencil:
                 rows[i][col] = field.mul(scale, pinv.at(3 + i, j))
         mats.append(Mat.from_rows(rows))
 
-    sp = SteinerPencil(m, mats[0], mats[1], mats[2], cfg, lifts)
+    sp = SteinerPencil(m, mats[0], mats[1], mats[2], cfg)
 
     # Generic member must have full row rank (no trisecant-type degeneracy).
     probe_rank = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .algebra import DegenerateInputError, distinct_degree_profile, prime_field, up_squarefree_part
 from .geom import random_config
-from .intersect import jumping_length, tangency_degree
+from .intersect import jumping_length, length_accounting, tangency_degree
 from .jumping import (
     JumpingReport,
     Pencil4Result,
@@ -27,7 +27,6 @@ from .jumping import (
     base_locus_equality,
     containment_monoidal,
     jumping_scan,
-    length_accounting,
     lien_equivalence,
     lift_eliminant_roots,
     ninth_point,

@@ -133,7 +133,7 @@ def test_det_examples():
         det(F101, Mat.zero(F101, 2, 3))
 
 
-@pytest.mark.parametrize("field", [F101, RATIONALS])
+@pytest.mark.parametrize("field", [F101, RATIONALS, prime_field(4294967311)])
 def test_det_matches_cofactor_oracle(field):
     rng = random.Random(13)
     for _ in range(6):

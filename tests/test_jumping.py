@@ -88,7 +88,7 @@ def test_scan_eight_points(report8, cfg8, gamma8):
     assert report8.counts["length_total"] == 36
     assert report8.counts["length_z_part"] == 24
     assert report8.counts["length_gamma_part"] == 12
-    orders = {r.point: r.order for r in report8.records}
+    orders = dict(zip(report8.points, report8.order()))
     for pt in cfg8.points:
         assert orders[pt] == 2
     for pt in gamma8:
@@ -99,9 +99,9 @@ def test_scan_six_points():
     cfg = random_config(6, F101, seed=1)
     rep = jumping_scan(cfg)
     assert rep.all_verdicts_true()
-    jumping = {r.point for r in rep.records if r.order >= 1}
-    assert jumping == set(cfg.points)
-    assert all(r.order == 1 for r in rep.records if r.order >= 1)
+    jumping = {pt: o for pt, o in zip(rep.points, rep.order()) if o >= 1}
+    assert set(jumping) == set(cfg.points)
+    assert all(o == 1 for o in jumping.values())
 
 
 def test_scan_four_points_empty():
@@ -115,7 +115,7 @@ def test_scan_five_points_matches_conic():
     rep = jumping_scan(cfg)
     assert rep.all_verdicts_true()
     conic = curves_through(cfg, 2).basis[0]
-    jumping = {r.point for r in rep.records if r.order >= 1}
+    jumping = {pt for pt, o in zip(rep.points, rep.order()) if o >= 1}
     on_conic = {pt for pt in plane_points(101) if hf_eval(F101, conic, pt) == 0}
     assert jumping == on_conic
 
@@ -221,7 +221,7 @@ def test_scan_witness_is_the_first_disagreement_with_the_zero_set(monkeypatch):
     rep = jumping_scan(cfg)
     assert rep.verdicts["jumping_set_is_monoidal_zero_locus"] is False
     assert rep.verdicts["monoidal_degree_is_n_times_n_minus_1"] is True
-    jumping = {r.point for r in rep.records if r.order >= 1}
+    jumping = {pt for pt, o in zip(rep.points, rep.order()) if o >= 1}
     want = next(pt for pt in plane_points(101) if hf_eval(F101, line, pt) == 0 and pt not in jumping)
     assert hf_eval(F101, mono, want) != 0
     assert rep.witness == want

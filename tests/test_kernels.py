@@ -386,6 +386,22 @@ def test_kernels_reject_malformed_input():
         compiled.rank_mod_p([1, 2, 3], 2, 2, 101)
 
 
+def test_kernels_reject_a_composite_modulus():
+    # every inverse in the kernels assumes a prime modulus
+    a, exps, pt = [1] * 6, [0, 0, 1], [0, 0, 1]
+    for impl in IMPLS.values():
+        calls = (
+            lambda: impl.rank_mod_p([1], 1, 1, 15),
+            lambda: impl.pencil_kernel_degrees(a, a, 2, 3, 15, 1),
+            lambda: impl.splitting_scan(a, a, a, 2, 3, pt, 15),
+            lambda: impl.eval_form_many([1], exps, pt, 15),
+            lambda: impl.form_matrix_scan([1], exps, 1, 1, pt, 15),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="prime modulus"):
+                call()
+
+
 def _random_forms(rng, rows, cols, d, p):
     return [[HForm(d, tuple(rng.randrange(p) for _ in range(basis_size(d)))) for _ in range(cols)] for _ in range(rows)]
 

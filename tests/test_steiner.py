@@ -185,6 +185,22 @@ def test_splitting_scan_matches_pointwise_and_threads(m):
         assert jumping_order(sp, x) == generic_eps1(m) - st.eps1
 
 
+@pytest.mark.parametrize("m", [6, 8])
+def test_rational_pencil_route_end_to_end(m):
+    # the staircase over Q: the points of Z jump with order n - 2, and
+    # seeded rational points off Z do not jump
+    cfg = random_config(m, RATIONALS, seed=1)
+    sp = steiner_pencil(cfg)
+    assert [jumping_order(sp, z) for z in cfg.points] == [m // 2 - 2] * m
+    rng = random.Random(m)
+    off = []
+    while len(off) < 5:
+        c = [rng.randint(-9, 9) for _ in range(3)]
+        if any(c) and (x := normalize_point(RATIONALS, c)) not in cfg and x not in off:
+            off.append(x)
+    assert [jumping_order(sp, x) for x in off] == [0] * 5
+
+
 def test_splitting_type_ordering_guard():
     with pytest.raises(ValueError):
         SplittingType(4, 3)
