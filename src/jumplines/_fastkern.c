@@ -1,5 +1,6 @@
-/* Compiled scan kernels: dense mod-p elimination, pencil minimal indices and
- * matrices of forms evaluated and reduced at many points.
+/* Compiled scan kernels: dense mod-p elimination, pencil minimal indices,
+ * matrices of forms evaluated and reduced at many points, and the writer of
+ * a full-plane scan report's rows.
  *
  * Mirrors jumplines.kernels.pure: flat row-major integer sequences, entries
  * reduced as Python's `x % p` into [0, p), first-nonzero pivoting, the same
@@ -766,6 +767,209 @@ done:
     return res;
 }
 
+/* ---- Scan reports ------------------------------------------------------- */
+
+/* The characters "%d" writes for v. */
+static inline int decimal_width(i64 v)
+{
+    u64 u = v < 0 ? 0 - (u64)v : (u64)v;
+    int n = 1 + (v < 0);
+    while (u >= 10) {
+        u /= 10;
+        n++;
+    }
+    return n;
+}
+
+/* Writes v as "%d" does at s; returns the end of what it wrote. */
+static inline char *put_decimal(char *s, i64 v)
+{
+    char tmp[20];
+    int k = 0;
+    u64 u = v < 0 ? 0 - (u64)v : (u64)v;
+    if (v < 0)
+        *s++ = '-';
+    do {
+        tmp[k++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (k)
+        *s++ = tmp[--k];
+    return s;
+}
+
+/* The first six values of report row i (x0, x1, x2, eps1, eps2, order), the
+ * point of index i in plane_points order: (i / p, i % p, 1) for i < p*p, then
+ * (i - p*p, 1, 0), then (1, 0, 0). */
+static inline void report_values(Py_ssize_t i, i64 p, const int *eps1, const int *eps2, i64 top, i64 *v)
+{
+    i64 pp = p * p;
+    if (i < pp) {
+        v[0] = i / p; v[1] = i % p; v[2] = 1;
+    } else if (i < pp + p) {
+        v[0] = i - pp; v[1] = 1; v[2] = 0;
+    } else {
+        v[0] = 1; v[1] = 0; v[2] = 0;
+    }
+    v[3] = eps1[i];
+    v[4] = eps2[i];
+    v[5] = top - eps1[i];
+}
+
+/* The int items of the array('i') column obj, which must hold n of them, in
+ * view; returns -1 with ValueError set otherwise (TypeError when obj exports
+ * no buffer). */
+static int read_column(PyObject *obj, Py_ssize_t n, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    if (view->ndim != 1 || view->itemsize != sizeof(int) || !view->format || strcmp(view->format, "i") != 0
+        || view->len / view->itemsize != n) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError, "report columns must be array('i') of p*p + p + 1 items");
+        return -1;
+    }
+    return 0;
+}
+
+static int compare_indices(const void *a, const void *b)
+{
+    Py_ssize_t x = *(const Py_ssize_t *)a, y = *(const Py_ssize_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* The row indices of the sequence obj, each in [0, n), sorted ascending and
+ * ended by n, in a new buffer; NULL with an exception set otherwise. */
+static Py_ssize_t *read_rows(PyObject *obj, Py_ssize_t n)
+{
+    PyObject *seq = PySequence_Fast(obj, "expected a sequence of row indices");
+    if (!seq)
+        return NULL;
+    Py_ssize_t len = PySequence_Fast_GET_SIZE(seq);
+    Py_ssize_t *out = alloc(len + 1, sizeof(Py_ssize_t));
+    if (!out)
+        goto done;
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    for (Py_ssize_t k = 0; k < len; k++) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(items[k], &overflow);
+        if (v == -1 && PyErr_Occurred())
+            goto fail;
+        if (overflow || v < 0 || v >= n) {
+            PyErr_SetString(PyExc_ValueError, "report row indices must lie in [0, p*p + p + 1)");
+            goto fail;
+        }
+        out[k] = (Py_ssize_t)v;
+    }
+    qsort(out, (size_t)len, sizeof(Py_ssize_t), compare_indices);
+    out[len] = n;
+    goto done;
+fail:
+    PyMem_Free(out);
+    out = NULL;
+done:
+    Py_DECREF(seq);
+    return out;
+}
+
+/* Is row i marked in the ascending list *rows?  Moves *rows past i; the rows
+ * must be asked for in ascending order. */
+static inline int marked(const Py_ssize_t **rows, Py_ssize_t i)
+{
+    int hit = 0;
+    while (**rows == i) {
+        hit = 1;
+        (*rows)++;
+    }
+    return hit;
+}
+
+/* The text around a report row's eight values: before the first, between
+ * two, after the last, and between two rows. */
+typedef struct {
+    const char *open, *sep, *close, *join;
+} row_format;
+
+static const row_format csv_rows = {"", ",", "\n", ""};
+/* as json.dumps(indent=2) writes a list of ints inside the "records" list */
+static const row_format json_rows = {"    [\n      ", ",\n      ", "\n    ]", ",\n"};
+
+static inline char *put_text(char *s, const char *t)
+{
+    while (*t)
+        *s++ = *t++;
+    return s;
+}
+
+/* Every row of a full-plane scan report as text, in plane_points order: row i
+ * is (x0, x1, x2, eps1[i], eps2[i], top - eps1[i], in Z, in Gamma), with the
+ * point computed from i.  The first pass counts the characters, so the str
+ * is allocated at its exact length and written in place: nothing is
+ * allocated per row.  Both passes hold the GIL, so no other thread can
+ * change a column between them and make the second write past the length
+ * the first counted. */
+static PyObject *report_rows(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"p", "eps1", "eps2", "top", "zrows", "grows", "csv", NULL};
+    PyObject *eps1_obj, *eps2_obj, *zrows_obj, *grows_obj;
+    long long p;
+    int top, csv;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "LOOiOOp", kwlist, &p, &eps1_obj, &eps2_obj, &top, &zrows_obj,
+                                     &grows_obj, &csv)
+        || check_modulus(p) < 0)
+        return NULL;
+    Py_ssize_t n = (Py_ssize_t)(p * p + p + 1);
+    Py_buffer c1, c2;
+    if (read_column(eps1_obj, n, &c1) < 0)
+        return NULL;
+    if (read_column(eps2_obj, n, &c2) < 0) {
+        PyBuffer_Release(&c1);
+        return NULL;
+    }
+    PyObject *res = NULL;
+    Py_ssize_t *zrows = read_rows(zrows_obj, n), *grows = zrows ? read_rows(grows_obj, n) : NULL;
+    if (!grows)
+        goto done;
+    const int *eps1 = c1.buf, *eps2 = c2.buf;
+    const row_format *f = csv ? &csv_rows : &json_rows;
+    Py_ssize_t join = (Py_ssize_t)strlen(f->join);
+    /* the two flags are one digit each */
+    Py_ssize_t fixed = (Py_ssize_t)(strlen(f->open) + 7 * strlen(f->sep) + strlen(f->close)) + join + 2;
+    Py_ssize_t len = -join;
+    i64 v[8];
+    for (Py_ssize_t i = 0; i < n; i++) {
+        report_values(i, p, eps1, eps2, top, v);
+        len += fixed;
+        for (int k = 0; k < 6; k++)
+            len += decimal_width(v[k]);
+    }
+    res = PyUnicode_New(len, 127);
+    if (!res)
+        goto done;
+    char *s = (char *)PyUnicode_1BYTE_DATA(res);
+    const Py_ssize_t *z = zrows, *g = grows;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        report_values(i, p, eps1, eps2, top, v);
+        v[6] = marked(&z, i);
+        v[7] = marked(&g, i);
+        if (i)
+            s = put_text(s, f->join);
+        s = put_text(s, f->open);
+        for (int k = 0; k < 8; k++) {
+            if (k)
+                s = put_text(s, f->sep);
+            s = put_decimal(s, v[k]);
+        }
+        s = put_text(s, f->close);
+    }
+done:
+    PyMem_Free(zrows);
+    PyMem_Free(grows);
+    PyBuffer_Release(&c1);
+    PyBuffer_Release(&c2);
+    return res;
+}
+
 static PyMethodDef methods[] = {
     {"rank_mod_p", (PyCFunction)(void (*)(void))rank_mod_p, METH_VARARGS | METH_KEYWORDS,
      "rank_mod_p(flat, rows, cols, p)\n--\n\nRank mod p of a rows x cols matrix."},
@@ -782,6 +986,9 @@ static PyMethodDef methods[] = {
      "form_matrix_scan(coeffs, exps_flat, rows, cols, pts_flat, p)\n--\n\n"
      "Flat list of the rank and the determinant (0 unless square and of full\n"
      "rank) of a matrix of forms at each point."},
+    {"report_rows", (PyCFunction)(void (*)(void))report_rows, METH_VARARGS | METH_KEYWORDS,
+     "report_rows(p, eps1, eps2, top, zrows, grows, csv)\n--\n\n"
+     "Every row of a full-plane scan report as JSON or CSV text, in plane order."},
     {NULL, NULL, 0, NULL},
 };
 

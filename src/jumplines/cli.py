@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from . import kernels
 from .algebra import DegenerateInputError, FieldSpec, distinct_degree_profile, prime_field, up_squarefree_part
 from .forms import monoidal_det
 from .geom import PointConfig, random_config, validate_config
@@ -165,9 +166,17 @@ def _need_prime_field(cfg: PointConfig, command: str) -> None:
         raise UsageError(f"{command} scans every point of the plane and needs a prime field (fp:<p>)")
 
 
+def _warn_on_pure_threads(threads: int, p: int) -> None:
+    """Threads split a scan, but the pure-Python kernels hold the GIL."""
+    if threads > 1 and kernels.impl_for(p).BACKEND == "pure":
+        print(f"warning: --threads {threads} runs on the pure-Python kernels, which hold the GIL; "
+              "expect no speed-up", file=sys.stderr)
+
+
 def cmd_jump(args) -> int:
     cfg = _load_config(args)
     _need_prime_field(cfg, "jump")
+    _warn_on_pure_threads(args.threads, cfg.field.p)
     rep = jumping_scan(cfg, threads=args.threads)
     _write(args.out, rep.to_json() if args.format == "json" else rep.to_csv())
     if not rep.verdicts.get("gamma_disjoint_from_z", True):
@@ -237,6 +246,7 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _warn_on_pure_threads(args.threads, args.p)
     results, bundles = run_all(seeds=args.seeds, p=args.p, threads=args.threads, trials=args.trials)
     lines = [r.line() for r in results]
     report = {

@@ -77,6 +77,19 @@ def plane_points(p: int) -> list:
     return pts
 
 
+def plane_index(p: int, pt) -> int:
+    """Row of the normalized point pt in `plane_points(p)`, the inverse of its order."""
+    x0, x1, x2 = pt
+    if all(isinstance(c, int) and 0 <= c < p for c in pt):
+        if x2 == 1:
+            return x0 * p + x1
+        if x2 == 0 and x1 == 1:
+            return p * p + x0
+        if (x0, x1, x2) == (1, 0, 0):
+            return p * p + p
+    raise ValueError(f"{pt} is not a normalized point of the plane over F_{p}")
+
+
 def flat_coords(points) -> list:
     """The coordinates of F_p points (ints) as one flat list, as the kernels take them."""
     return list(chain.from_iterable(points))

@@ -53,7 +53,7 @@ from .forms import (
     sylvester_resultant,
     binary_form_to_upoly,
 )
-from .geom import PointConfig, Point, flat_coords, normalize_point, plane_points, validate_config
+from .geom import PointConfig, Point, flat_coords, normalize_point, plane_index, plane_points, validate_config
 from .intersect import length_accounting
 from .steiner import generic_eps1, splitting_columns, steiner_pencil
 
@@ -134,11 +134,6 @@ def gamma_points(cfg: PointConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-# one report row (x0, x1, x2, eps1, eps2, order, in_z, in_gamma), written as
-# json.dumps(indent=2) writes a list of ints inside the "records" list, and
-# as csv.writer writes it
-_JSON_ROW = "    [\n" + ",\n".join(["      %d"] * 8) + "\n    ]"
-_CSV_ROW = ",".join(["%d"] * 8) + "\n"
 _CSV_HEADER = "x0,x1,x2,eps1,eps2,order,in_z,in_gamma\n"
 
 
@@ -148,10 +143,9 @@ def _order_column(m: int, eps1) -> list:
     return [top - e for e in eps1]
 
 
-def _rows_of(points, marked) -> list:
-    """Indices, ascending, of the points that lie in `marked`."""
-    marked = set(marked)
-    return [i for i, pt in enumerate(points) if pt in marked]
+def _rows_of(p: int, marked) -> list:
+    """Row indices, ascending, of the plane points `marked` over F_p."""
+    return sorted(plane_index(p, pt) for pt in marked)
 
 
 @dataclass
@@ -183,8 +177,10 @@ class JumpingReport:
         return _order_column(len(self.config), self.eps1)
 
     def _flags(self, marked) -> bytes:
-        marked = set(marked)
-        return bytes([pt in marked for pt in self.points])
+        flags = bytearray(len(self.eps1))
+        for i in _rows_of(self.config.field.p, marked):
+            flags[i] = 1
+        return bytes(flags)
 
     def in_z(self) -> bytes:
         return self._flags(self.config.points)
@@ -192,9 +188,11 @@ class JumpingReport:
     def in_gamma(self) -> bytes:
         return self._flags(self.gamma)
 
-    def _formatted_rows(self, template: str) -> list:
-        columns = zip(self.points, self.eps1, self.eps2, self.order(), self.in_z(), self.in_gamma())
-        return [template % (x0, x1, x2, a, b, o, z, g) for (x0, x1, x2), a, b, o, z, g in columns]
+    def _formatted_rows(self, csv: bool) -> str:
+        p = self.config.field.p
+        top = generic_eps1(len(self.config))
+        zrows, grows = _rows_of(p, self.config.points), _rows_of(p, self.gamma)
+        return kernels.report_rows(p, self.eps1, self.eps2, top, zrows, grows, csv)
 
     def to_json(self) -> str:
         f = self.config.field
@@ -214,11 +212,12 @@ class JumpingReport:
             "records": [],
         }
         head = json.dumps(payload, indent=2)
-        # "records" is the last key: its rows go between the "[" and the "]\n}" closing it
-        return head[:-3] + "\n" + ",\n".join(self._formatted_rows(_JSON_ROW)) + "\n  ]\n}\n"
+        # "records" is the last key: its rows go between the "[" and the "]\n}" closing it;
+        # one join copies the rows once, where two concatenations would copy them twice
+        return "".join((head[:-3], "\n", self._formatted_rows(csv=False), "\n  ]\n}\n"))
 
     def to_csv(self) -> str:
-        return _CSV_HEADER + "".join(self._formatted_rows(_CSV_ROW))
+        return _CSV_HEADER + self._formatted_rows(csv=True)
 
 
 def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
@@ -241,7 +240,7 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
     eps1, eps2 = splitting_columns(sp, flat, threads=threads)
     order = _order_column(m, eps1)
     jumping = {i for i, o in enumerate(order) if o >= 1}
-    zrows = _rows_of(pts, cfg.points)
+    zrows = _rows_of(field.p, cfg.points)
 
     even = m % 2 == 0
     n = m // 2 if even else (m - 1) // 2
@@ -250,7 +249,7 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
 
     if even:
         gamma, zhits = gamma_scan(cfg, (pts, flat)) if n > 3 else ([], [])
-        grows = _rows_of(pts, gamma)
+        grows = _rows_of(field.p, gamma)
         z_order = n - 2
         bad_set = jumping ^ set(grows + (zrows if z_order >= 1 else []))
         bad_zorder = {i for i in zrows if order[i] != z_order}

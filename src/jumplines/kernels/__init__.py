@@ -56,6 +56,10 @@ def form_matrix_scan(coeffs, exps_flat, rows: int, cols: int, pts_flat, p: int):
     return impl_for(p).form_matrix_scan(coeffs, exps_flat, rows, cols, pts_flat, p)
 
 
+def report_rows(p: int, eps1, eps2, top: int, zrows, grows, csv: bool) -> str:
+    return impl_for(p).report_rows(p, eps1, eps2, top, zrows, grows, csv)
+
+
 def backends():
     """All importable backends, for tests and benchmarks."""
     out = {"pure": _pure}

@@ -9,6 +9,7 @@ is set); the two backends must agree bit for bit.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, islice
 
 from ..algebra import is_prime
 
@@ -285,3 +286,47 @@ def form_matrix_scan(coeffs, exps_flat, rows: int, cols: int, pts_flat, p: int):
                 d = p - d
         out += (len(piv), d)
     return out
+
+
+# one report row (x0, x1, x2, eps1, eps2, order, in_z, in_gamma), written as
+# json.dumps(indent=2) writes a list of ints inside the "records" list, and
+# as csv.writer writes it
+_JSON_ROW = "    [\n" + ",\n".join(["      %d"] * 8) + "\n    ]"
+_CSV_ROW = ",".join(["%d"] * 8) + "\n"
+
+
+def _row_flags(rows, n: int) -> bytearray:
+    """One byte per report row, 1 at the row indices `rows`."""
+    flags = bytearray(n)
+    for i in rows:
+        if not 0 <= i < n:
+            raise ValueError("report row indices must lie in [0, p*p + p + 1)")
+        flags[i] = 1
+    return flags
+
+
+def report_rows(p: int, eps1, eps2, top: int, zrows, grows, csv: bool) -> str:
+    """The rows of a full-plane scan report, in `plane_points(p)` order.
+
+    Row i is the point of index i with its splitting type (eps1[i],
+    eps2[i]), the order top - eps1[i] and whether i is in zrows and in
+    grows.  The columns are array('i') of p*p + p + 1 items.  CSV rows are
+    concatenated, JSON rows joined by ",\\n".
+    """
+    _check_modulus(p)
+    n = p * p + p + 1
+    for col in (eps1, eps2):
+        view = memoryview(col)
+        if view.format != "i" or view.ndim != 1 or len(view) != n:
+            raise ValueError("report columns must be array('i') of p*p + p + 1 items")
+    zf, gf = _row_flags(zrows, n), _row_flags(grows, n)
+    points = chain(((a, b, 1) for a in range(p) for b in range(p)), ((a, 1, 0) for a in range(p)), [(1, 0, 0)])
+    template, sep = (_CSV_ROW, "") if csv else (_JSON_ROW, ",\n")
+    rows = (
+        template % (x0, x1, x2, a, b, top - a, z, g)
+        for (x0, x1, x2), a, b, z, g in zip(points, eps1, eps2, zf, gf)
+    )
+    # joined p rows at a time, so the row strings of one chunk are freed
+    # before the next is formatted: fewer short strings alive at once leave
+    # the allocator's arenas less fragmented
+    return sep.join([sep.join(islice(rows, p)) for _ in range(p + 2)])

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .algebra import DegenerateInputError, distinct_degree_profile, prime_field, up_squarefree_part
-from .geom import random_config
+from .geom import plane_index, random_config
 from .intersect import jumping_length, length_accounting, tangency_degree
 from .jumping import (
     JumpingReport,
@@ -207,7 +207,7 @@ def criterion_6(bundles) -> CriterionResult:
         for b in bundles:
             rep = b.report
             p9 = ninth_point(rep.config)
-            if p9 in rep.config or p9 in rep.gamma or rep.order()[rep.points.index(p9)] != 0:
+            if p9 in rep.config or p9 in rep.gamma or rep.order()[plane_index(rep.config.field.p, p9)] != 0:
                 return False, f"seed {rep.seed}: ninth point {p9} misbehaves"
             pts.append(p9)
         return True, f"base point verified, outside Z and Gamma, order 0 ({len(pts)} seeds)"

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from jumplines import kernels
 from jumplines.cli import main
 
 
@@ -240,3 +243,24 @@ def test_verify_subset(capsys):
     lines = [l for l in out.splitlines() if l.startswith("[")]
     assert len(lines) == 10
     assert all(l.startswith("[PASS]") for l in lines)
+
+
+@pytest.mark.parametrize("backend", sorted(kernels.backends()))
+def test_threads_on_the_pure_backend_warn(tmp_path, capsys, monkeypatch, backend):
+    # the warning goes to stderr only: report bytes and stdout stay as they are
+    monkeypatch.setattr(kernels, "_impl", kernels.backends()[backend])
+    warns = backend == "pure"
+    outs = []
+    for threads in ("1", "2"):
+        outp = tmp_path / f"rep{threads}.csv"
+        code, out, err = run(capsys, "jump", "--count", "6", "--field", "fp:31", "--format", "csv",
+                             "--threads", threads, "--out", str(outp))
+        assert code == 0 and out == ""
+        assert ("warning: --threads 2" in err) == (warns and threads == "2")
+        outs.append(outp.read_bytes())
+    assert outs[0] == outs[1]
+    monkeypatch.setattr("jumplines.cli.run_all", lambda **kw: ([], []))
+    for threads in ("1", "3"):
+        code, out, err = run(capsys, "verify", "--threads", threads)
+        assert code == 0 and out == ""
+        assert ("warning: --threads 3" in err) == (warns and threads == "3")

@@ -9,6 +9,7 @@ from jumplines.geom import (
     collinear,
     dual_line_basis,
     normalize_point,
+    plane_index,
     plane_points,
     random_config,
     validate_config,
@@ -68,6 +69,28 @@ def test_plane_points_enumeration():
     assert len(set(pts)) == 31
     for pt in pts:
         assert normalize_point(prime_field(5), pt) == pt
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_plane_index_inverts_the_plane_order(p):
+    for i, pt in enumerate(plane_points(p)):
+        assert plane_index(p, pt) == i
+
+
+@pytest.mark.parametrize("pt", [
+    (2, 4, 2),  # (1, 2, 1) unnormalized
+    (3, 0, 0),  # (1, 0, 0) unnormalized
+    (0, 2, 0),  # (0, 1, 0) unnormalized
+    (0, 0, 0),
+    (0, 0, 1.0),
+    (5, 0, 1),  # a coordinate outside [0, p)
+    (-1, 0, 1),
+    (0, 1),
+    (0, 0, 1, 0),
+])
+def test_plane_index_rejects_what_is_not_a_plane_point(pt):
+    with pytest.raises(ValueError):
+        plane_index(5, pt)
 
 
 def test_random_config_deterministic():

@@ -1,5 +1,7 @@
+import json
 import os
 import random
+from array import array
 import shlex
 import shutil
 import sysconfig
@@ -20,6 +22,7 @@ from jumplines.kernels import (
     impl_for,
     pencil_kernel_degrees,
     rank_mod_p,
+    report_rows,
 )
 from jumplines.steiner import (
     generic_eps1,
@@ -390,7 +393,9 @@ def test_kernels_reject_a_composite_modulus():
     # every inverse in the kernels assumes a prime modulus
     a, exps, pt = [1] * 6, [0, 0, 1], [0, 0, 1]
     for impl in IMPLS.values():
+        col = array("i", [0] * (15 * 15 + 15 + 1))
         calls = (
+            lambda: impl.report_rows(15, col, col, 0, [], [], False),
             lambda: impl.rank_mod_p([1], 1, 1, 15),
             lambda: impl.pencil_kernel_degrees(a, a, 2, 3, 15, 1),
             lambda: impl.splitting_scan(a, a, a, 2, 3, pt, 15),
@@ -400,6 +405,65 @@ def test_kernels_reject_a_composite_modulus():
         for call in calls:
             with pytest.raises(ValueError, match="prime modulus"):
                 call()
+
+
+INT_MIN, INT_MAX = -(2**31), 2**31 - 1
+
+
+def _report_oracle(p, eps1, eps2, top, zrows, grows, csv):
+    """The report rows as csv.writer and json.dumps(indent=2) (inside the
+    "records" list of an object) write them, from `plane_points`."""
+    zset, gset = set(zrows), set(grows)
+    rows = [list(pt) + [a, b, top - a, int(i in zset), int(i in gset)]
+            for i, (pt, a, b) in enumerate(zip(plane_points(p), eps1, eps2))]
+    if csv:
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
+    text = json.dumps({"records": rows}, indent=2)
+    return text[len('{\n  "records": [\n') : -len("\n  ]\n}")]
+
+
+def _assert_same_text(got, want):
+    # pytest's diff of two long strings takes minutes: show the first difference
+    if got != want:
+        i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"texts differ at {i}: {got[i - 40 : i + 40]!r} != {want[i - 40 : i + 40]!r}")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 101])
+def test_report_rows_backend_parity(p):
+    # multi-digit and negative splitting types, the int extremes among them,
+    # and the Z and Gamma lists empty, full, and unsorted with repeats
+    n = p * p + p + 1
+    rng = random.Random(p)
+    extremes = [INT_MIN, INT_MAX, -1, 0, 9, 10, -10, 99999]
+    eps1 = array("i", [rng.choice(extremes) if rng.random() < 0.1 else rng.randint(-999, 999) for _ in range(n)])
+    eps2 = array("i", [rng.randint(-(10**6), 10**6) for _ in range(n)])
+    some = [rng.randrange(n) for _ in range(8)]
+    flag_lists = [([], []), (list(range(n)), []), ([], list(range(n))[::-1]), (some, some[::2] + some[:3])]
+    for top in (4, -3, INT_MAX):
+        for zrows, grows in flag_lists:
+            for csv in (False, True):
+                want = _report_oracle(p, eps1, eps2, top, zrows, grows, csv)
+                for impl in IMPLS.values():
+                    _assert_same_text(impl.report_rows(p, eps1, eps2, top, zrows, grows, csv), want)
+
+
+def test_report_rows_rejects_malformed_input():
+    p, n = 5, 31
+    good = array("i", [1] * n)
+    bad_columns = [array("i", [1] * (n - 1)), array("i", [1] * (n + 1)), array("i"), array("q", [1] * n),
+                   array("h", [1] * n), array("I", [1] * n), array("f", [1] * n)]
+    for impl in IMPLS.values():
+        for col in bad_columns:
+            for eps1, eps2 in ((col, good), (good, col)):
+                with pytest.raises(ValueError, match="array"):
+                    impl.report_rows(p, eps1, eps2, 4, [], [], True)
+        for rows in ([-1], [n], [0, n + 7], [2**70], [-(2**70)]):
+            for zrows, grows in ((rows, []), ([], rows)):
+                with pytest.raises(ValueError, match="row indices"):
+                    impl.report_rows(p, good, good, 4, zrows, grows, False)
+        with pytest.raises(TypeError):
+            impl.report_rows(p, [1] * n, good, 4, [], [], False)
 
 
 def _random_forms(rng, rows, cols, d, p):
@@ -501,3 +565,7 @@ def test_selected_backend_exports():
     out = form_matrix_scan([1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1], 2, 2,
                            [1, 2, 3, 2, 4, 6, 0, 2, 3], 101)
     assert [int(v) for v in out] == [2, 96, 2, 81, 2, 95]
+    # the plane over F_2: (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 1, 0), (1, 1, 0), (1, 0, 0)
+    eps = array("i", range(7))
+    rows = report_rows(2, eps, eps, 3, [6], [0, 2], True)
+    assert rows.splitlines()[::3] == ["0,0,1,0,0,3,0,1", "1,1,1,3,3,0,0,0", "1,0,0,6,6,-3,1,0"]
