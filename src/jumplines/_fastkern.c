@@ -12,6 +12,12 @@
  * setup.py (optional=True) leaves the pure twins in charge.
  * The point loops run without the GIL, so chunked scans use real threads.
  *
+ * Points: the scans take a flat coordinate list or a jumplines.geom.PlaneCoords
+ * range of rows of the plane, whose points they compute from the row index as
+ * report_rows does, so a scan of the plane reads no list.  They return
+ * array('i') columns, written in place; rows_below picks the rows of a column
+ * below a bound.
+ *
  * Inverses: splitting_scan and form_matrix_scan build one table of the
  * inverses mod p per call when the call has at least p points (every
  * full-plane scan has p*p + p + 1), in O(p) and 8 * p bytes; every other
@@ -307,6 +313,37 @@ static int dual_basis(const i64 *x, modulus md, i64 *l0, i64 *l1)
     return 0;
 }
 
+/* Row i of plane_points(p), written to x: (i / p, i % p, 1) for i < p*p, then
+ * (i - p*p, 1, 0), then (1, 0, 0). */
+static inline void plane_point(i64 i, i64 p, i64 *x)
+{
+    i64 pp = p * p;
+    if (i < pp) {
+        x[0] = i / p; x[1] = i % p; x[2] = 1;
+    } else if (i < pp + p) {
+        x[0] = i - pp; x[1] = 1; x[2] = 0;
+    } else {
+        x[0] = 1; x[1] = 0; x[2] = 0;
+    }
+}
+
+/* The n points a scan visits: the coordinate triples at flat (residues) when
+ * it is set, else the rows start, start + 1, ... of plane_points(p). */
+typedef struct {
+    i64 *flat;
+    i64 start;
+    Py_ssize_t n;
+} point_list;
+
+/* Point k of pts; a plane row is computed into buf. */
+static inline const i64 *point_at(const point_list *pts, Py_ssize_t k, i64 p, i64 *buf)
+{
+    if (pts->flat)
+        return pts->flat + 3 * k;
+    plane_point(pts->start + k, p, buf);
+    return buf;
+}
+
 /* ---- Python boundary ---------------------------------------------------- */
 
 /* Deterministic Miller-Rabin for 2 <= n < 2**31: the bases 2, 7 and 61 decide
@@ -444,6 +481,92 @@ done:
     return out;
 }
 
+/* The points of obj for a scan mod p: a jumplines.geom.PlaneCoords range is
+ * read as (p, start, stop), anything else as a sequence of coordinate triples
+ * reduced mod p (a trailing partial triple ignored) into a new buffer
+ * pts->flat, which the caller frees.  Returns 0, or -1 with an exception set;
+ * a range over another field, or one that is not within the p*p + p + 1 rows
+ * of the plane, raises ValueError. */
+static int read_points(PyObject *obj, i64 p, point_list *pts)
+{
+    static const char *names[3] = {"p", "start", "stop"};
+    pts->flat = NULL;
+    pts->start = 0;
+    pts->n = 0;
+    PyObject *geom = PyImport_ImportModule("jumplines.geom");
+    PyObject *cls = geom ? PyObject_GetAttrString(geom, "PlaneCoords") : NULL;
+    int is_range = cls ? PyObject_IsInstance(obj, cls) : -1;
+    Py_XDECREF(geom);
+    Py_XDECREF(cls);
+    if (is_range < 0)
+        return -1;
+    if (!is_range) {
+        Py_ssize_t len = PyObject_Length(obj);
+        if (len < 0)
+            return -1;
+        pts->n = len / 3;
+        pts->flat = read_ints(obj, 3 * pts->n, p);
+        return pts->flat ? 0 : -1;
+    }
+    long long v[3];
+    for (int k = 0; k < 3; k++) {
+        PyObject *attr = PyObject_GetAttrString(obj, names[k]);
+        v[k] = attr ? PyLong_AsLongLong(attr) : -1;
+        Py_XDECREF(attr);
+        if (v[k] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    if (v[0] != p) {
+        PyErr_Format(PyExc_ValueError, "a plane range over F_%lld given to a kernel mod %lld", v[0], p);
+        return -1;
+    }
+    if (v[1] < 0 || v[1] > v[2] || v[2] > p * p + p + 1) {
+        PyErr_SetString(PyExc_ValueError, "a plane range must lie within the p*p + p + 1 rows of the plane");
+        return -1;
+    }
+    pts->start = v[1];
+    pts->n = (Py_ssize_t)(v[2] - v[1]);
+    return 0;
+}
+
+/* An array('i') column being written: the array and its items, exported. */
+typedef struct {
+    PyObject *obj;
+    Py_buffer view;
+    int *data;
+} column;
+
+/* Makes c a new array('i') of n zeros, its items exported for writing.
+ * Returns 0, or -1 with an exception set and c->obj NULL. */
+static int column_new(column *c, Py_ssize_t n)
+{
+    PyObject *mod = PyImport_ImportModule("array");
+    PyObject *zero = mod ? PyObject_CallMethod(mod, "array", "s[i]", "i", 0) : NULL;
+    c->obj = zero ? PySequence_Repeat(zero, n) : NULL;
+    Py_XDECREF(mod);
+    Py_XDECREF(zero);
+    if (c->obj && PyObject_GetBuffer(c->obj, &c->view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS) < 0)
+        Py_CLEAR(c->obj);
+    c->data = c->obj ? c->view.buf : NULL;
+    return c->obj ? 0 : -1;
+}
+
+/* Ends the export of c's items; c->obj stays. */
+static void column_done(column *c)
+{
+    if (c->obj)
+        PyBuffer_Release(&c->view);
+}
+
+/* (a, b) for two finished columns, or NULL; drops the references to both. */
+static PyObject *column_pair(column *a, column *b, int ok)
+{
+    PyObject *res = ok ? PyTuple_Pack(2, a->obj, b->obj) : NULL;
+    Py_XDECREF(a->obj);
+    Py_XDECREF(b->obj);
+    return res;
+}
+
 static PyObject *int_list(const i64 *vals, Py_ssize_t n)
 {
     PyObject *list = PyList_New(n);
@@ -519,6 +642,10 @@ static PyObject *pencil_kernel_degrees(PyObject *self, PyObject *args, PyObject 
     return res;
 }
 
+/* The splitting type (eps1, eps2) of the Steiner bundle on the dual line of
+ * each point: the two smallest column minimal indices of the pencil A(l0),
+ * A(l1) restricted to that line, each plus the twist 1, as two array('i')
+ * columns. */
 static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"a0", "a1", "a2", "rows", "cols", "pts_flat", "p", NULL};
@@ -529,24 +656,22 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
                                      &pts_obj, &p)
         || check_shape(rows, cols) < 0 || check_modulus(p) < 0)
         return NULL;
-    Py_ssize_t npts = PyObject_Length(pts_obj);
-    if (npts < 0)
-        return NULL;
-    npts /= 3;
     Py_ssize_t n = (Py_ssize_t)rows * cols;
-    PyObject *res = NULL;
+    int ok = 0;
     i64 *ca[3] = {NULL, NULL, NULL};
-    i64 *pts = NULL, *b = NULL, *red = NULL, *ak = NULL, *work = NULL, *out = NULL, *inv = NULL;
+    i64 *b = NULL, *red = NULL, *ak = NULL, *work = NULL, *inv = NULL;
     int *piv = NULL, *iwork = NULL;
+    point_list pts = {NULL, 0, 0};
+    column eps1 = {NULL}, eps2 = {NULL};
     modulus md = make_modulus(p);
     for (int k = 0; k < 3; k++)
         if (!(ca[k] = read_ints(a[k], n, p)))
             goto done;
-    if (!(pts = read_ints(pts_obj, 3 * npts, p)) || !(b = alloc(2 * n, sizeof(i64)))
+    if (read_points(pts_obj, p, &pts) < 0 || !(b = alloc(2 * n, sizeof(i64)))
         || !(red = alloc(2 * n, sizeof(i64))) || !(piv = alloc(2 * (Py_ssize_t)cols, sizeof(int)))
         || !(ak = alloc(6 * n, sizeof(i64))) || !(work = alloc(5 * n, sizeof(i64)))
-        || !(iwork = alloc(2 * (Py_ssize_t)cols, sizeof(int))) || !(out = alloc(2 * npts, sizeof(i64)))
-        || (npts >= p && !(inv = inverse_table(md))))
+        || !(iwork = alloc(2 * (Py_ssize_t)cols, sizeof(int))) || (pts.n >= p && !(inv = inverse_table(md)))
+        || column_new(&eps1, pts.n) < 0 || column_new(&eps2, pts.n) < 0)
         goto done;
     md.inv = inv;
     int rc = DEG_OK, bad_point = 0;
@@ -567,9 +692,9 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
     i64 form[2][3] = {{0, 0, 0}, {0, 0, 0}};
     int rho[2] = {-1, -1};
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t pt = 0; pt < npts && rc == DEG_OK; pt++) {
-        i64 l[2][3];
-        if (dual_basis(pts + 3 * pt, md, l[0], l[1]) < 0) {
+    for (Py_ssize_t pt = 0; pt < pts.n && rc == DEG_OK; pt++) {
+        i64 l[2][3], xb[3], deg[2];
+        if (dual_basis(point_at(&pts, pt, p, xb), md, l[0], l[1]) < 0) {
             bad_point = 1;
             break;
         }
@@ -596,10 +721,13 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
         }
         if (shared >= 0 && rho[shared] == rows) {
             reduction level0 = {red + shared * n, piv + shared * cols, rows, ak + shared * 3 * n, form[1 - shared]};
-            rc = pencil_degrees(b + shared * n, b + (1 - shared) * n, rows, cols, md, 2, &level0, work, iwork,
-                                out + 2 * pt);
+            rc = pencil_degrees(b + shared * n, b + (1 - shared) * n, rows, cols, md, 2, &level0, work, iwork, deg);
         } else {
-            rc = pencil_degrees(b, b + n, rows, cols, md, 2, NULL, work, iwork, out + 2 * pt);
+            rc = pencil_degrees(b, b + n, rows, cols, md, 2, NULL, work, iwork, deg);
+        }
+        if (rc == DEG_OK) {
+            eps1.data[pt] = (int)deg[0] + 1;
+            eps2.data[pt] = (int)deg[1] + 1;
         }
     }
     Py_END_ALLOW_THREADS
@@ -608,13 +736,15 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
     else if (rc != DEG_OK)
         raise_degrees_error(rc);
     else
-        res = int_list(out, 2 * npts);
+        ok = 1;
 done:
     for (int k = 0; k < 3; k++)
         PyMem_Free(ca[k]);
-    PyMem_Free(pts); PyMem_Free(b); PyMem_Free(red); PyMem_Free(piv); PyMem_Free(ak); PyMem_Free(work);
-    PyMem_Free(iwork); PyMem_Free(out); PyMem_Free(inv);
-    return res;
+    PyMem_Free(pts.flat); PyMem_Free(b); PyMem_Free(red); PyMem_Free(piv); PyMem_Free(ak); PyMem_Free(work);
+    PyMem_Free(iwork); PyMem_Free(inv);
+    column_done(&eps1);
+    column_done(&eps2);
+    return column_pair(&eps1, &eps2, ok);
 }
 
 /* The first nmono exponent triples of obj, each exponent in [0, 2**20];
@@ -672,6 +802,7 @@ static void monomial_values(const i64 *x, const i64 *ee, Py_ssize_t nmono, i64 d
     }
 }
 
+/* The values of one form at each point, as an array('i') column. */
 static PyObject *eval_form_many(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"coeffs", "exps_flat", "pts_flat", "p", NULL};
@@ -680,36 +811,37 @@ static PyObject *eval_form_many(PyObject *self, PyObject *args, PyObject *kwargs
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOL", kwlist, &coeffs_obj, &exps_obj, &pts_obj, &p)
         || check_modulus(p) < 0)
         return NULL;
-    Py_ssize_t nmono = PyObject_Length(coeffs_obj), npts = PyObject_Length(pts_obj);
-    if (nmono < 0 || npts < 0)
+    Py_ssize_t nmono = PyObject_Length(coeffs_obj);
+    if (nmono < 0)
         return NULL;
-    npts /= 3;
-    PyObject *res = NULL;
     i64 deg = 0;
-    i64 *cc = NULL, *ee = NULL, *pts = NULL, *out = NULL, *pw = NULL, *mv = NULL;
+    i64 *cc = NULL, *ee = NULL, *pw = NULL, *mv = NULL;
+    point_list pts = {NULL, 0, 0};
+    column vals = {NULL};
     if (!(cc = read_ints(coeffs_obj, nmono, p)) || !(ee = read_exponents(exps_obj, nmono, &deg))
-        || !(pts = read_ints(pts_obj, 3 * npts, p)) || !(out = alloc(npts, sizeof(i64)))
-        || !(pw = alloc(3 * (deg + 1), sizeof(i64))) || !(mv = alloc(nmono, sizeof(i64))))
+        || read_points(pts_obj, p, &pts) < 0 || !(pw = alloc(3 * (deg + 1), sizeof(i64)))
+        || !(mv = alloc(nmono, sizeof(i64))) || column_new(&vals, pts.n) < 0)
         goto done;
     modulus md = make_modulus(p);
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t pt = 0; pt < npts; pt++) {
-        monomial_values(pts + 3 * pt, ee, nmono, deg, md, pw, mv);
-        out[pt] = dot_mod(cc, mv, nmono, md);
+    for (Py_ssize_t pt = 0; pt < pts.n; pt++) {
+        i64 xb[3];
+        monomial_values(point_at(&pts, pt, p, xb), ee, nmono, deg, md, pw, mv);
+        vals.data[pt] = (int)dot_mod(cc, mv, nmono, md);
     }
     Py_END_ALLOW_THREADS
-    res = int_list(out, npts);
 done:
-    PyMem_Free(cc); PyMem_Free(ee); PyMem_Free(pts); PyMem_Free(out); PyMem_Free(pw); PyMem_Free(mv);
-    return res;
+    PyMem_Free(cc); PyMem_Free(ee); PyMem_Free(pts.flat); PyMem_Free(pw); PyMem_Free(mv);
+    column_done(&vals);
+    return vals.obj;
 }
 
-/* Rank and determinant mod p of a rows x cols matrix of forms at each point.
- * The entries share the monomials of exps_flat; coeffs holds the
- * coefficients of each entry in turn, row by row.  Per point the monomial
- * values are computed once, every entry is evaluated from them and echelon
- * reduces the result; the determinant is the signed product of the pivots
- * when the matrix is square and of full rank, and 0 otherwise. */
+/* Rank and determinant mod p of a rows x cols matrix of forms at each point,
+ * as two array('i') columns.  The entries share the monomials of exps_flat;
+ * coeffs holds the coefficients of each entry in turn, row by row.  Per point
+ * the monomial values are computed once, every entry is evaluated from them
+ * and echelon reduces the result; the determinant is the signed product of
+ * the pivots when the matrix is square and of full rank, and 0 otherwise. */
 static PyObject *form_matrix_scan(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"coeffs", "exps_flat", "rows", "cols", "pts_flat", "p", NULL};
@@ -720,30 +852,33 @@ static PyObject *form_matrix_scan(PyObject *self, PyObject *args, PyObject *kwar
                                      &pts_obj, &p)
         || check_shape(rows, cols) < 0 || check_modulus(p) < 0)
         return NULL;
-    Py_ssize_t nmono = PyObject_Length(exps_obj), npts = PyObject_Length(pts_obj);
-    if (nmono < 0 || npts < 0)
+    Py_ssize_t nmono = PyObject_Length(exps_obj);
+    if (nmono < 0)
         return NULL;
     nmono /= 3;
-    npts /= 3;
     Py_ssize_t nent = (Py_ssize_t)rows * cols;
     if (nmono && nent > PY_SSIZE_T_MAX / nmono) {
         /* no sequence holds that many coefficients */
         PyErr_SetString(PyExc_IndexError, "sequence is shorter than the given shape");
         return NULL;
     }
-    PyObject *res = NULL;
+    int ok = 0;
     i64 deg = 0;
-    i64 *cc = NULL, *ee = NULL, *pts = NULL, *pw = NULL, *mv = NULL, *a = NULL, *out = NULL, *inv = NULL;
+    i64 *cc = NULL, *ee = NULL, *pw = NULL, *mv = NULL, *a = NULL, *inv = NULL;
+    point_list pts = {NULL, 0, 0};
+    column ranks = {NULL}, dets = {NULL};
     modulus md = make_modulus(p);
     if (!(cc = read_ints(coeffs_obj, nent * nmono, p)) || !(ee = read_exponents(exps_obj, nmono, &deg))
-        || !(pts = read_ints(pts_obj, 3 * npts, p)) || !(pw = alloc(3 * (deg + 1), sizeof(i64)))
+        || read_points(pts_obj, p, &pts) < 0 || !(pw = alloc(3 * (deg + 1), sizeof(i64)))
         || !(mv = alloc(nmono, sizeof(i64))) || !(a = alloc(nent, sizeof(i64)))
-        || !(out = alloc(2 * npts, sizeof(i64))) || (npts >= p && !(inv = inverse_table(md))))
+        || (pts.n >= p && !(inv = inverse_table(md))) || column_new(&ranks, pts.n) < 0
+        || column_new(&dets, pts.n) < 0)
         goto done;
     md.inv = inv;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t pt = 0; pt < npts; pt++) {
-        monomial_values(pts + 3 * pt, ee, nmono, deg, md, pw, mv);
+    for (Py_ssize_t pt = 0; pt < pts.n; pt++) {
+        i64 xb[3];
+        monomial_values(point_at(&pts, pt, p, xb), ee, nmono, deg, md, pw, mv);
         for (Py_ssize_t e = 0; e < nent; e++)
             a[e] = dot_mod(cc + e * nmono, mv, nmono, md);
         int parity;
@@ -756,15 +891,17 @@ static PyObject *form_matrix_scan(PyObject *self, PyObject *args, PyObject *kwar
             if (parity)
                 d = p - d;
         }
-        out[2 * pt] = r;
-        out[2 * pt + 1] = d;
+        ranks.data[pt] = r;
+        dets.data[pt] = (int)d;
     }
     Py_END_ALLOW_THREADS
-    res = int_list(out, 2 * npts);
+    ok = 1;
 done:
-    PyMem_Free(cc); PyMem_Free(ee); PyMem_Free(pts); PyMem_Free(pw); PyMem_Free(mv); PyMem_Free(a);
-    PyMem_Free(out); PyMem_Free(inv);
-    return res;
+    PyMem_Free(cc); PyMem_Free(ee); PyMem_Free(pts.flat); PyMem_Free(pw); PyMem_Free(mv); PyMem_Free(a);
+    PyMem_Free(inv);
+    column_done(&ranks);
+    column_done(&dets);
+    return column_pair(&ranks, &dets, ok);
 }
 
 /* ---- Scan reports ------------------------------------------------------- */
@@ -799,37 +936,72 @@ static inline char *put_decimal(char *s, i64 v)
 }
 
 /* The first six values of report row i (x0, x1, x2, eps1, eps2, order), the
- * point of index i in plane_points order: (i / p, i % p, 1) for i < p*p, then
- * (i - p*p, 1, 0), then (1, 0, 0). */
+ * point of row i of plane_points. */
 static inline void report_values(Py_ssize_t i, i64 p, const int *eps1, const int *eps2, i64 top, i64 *v)
 {
-    i64 pp = p * p;
-    if (i < pp) {
-        v[0] = i / p; v[1] = i % p; v[2] = 1;
-    } else if (i < pp + p) {
-        v[0] = i - pp; v[1] = 1; v[2] = 0;
-    } else {
-        v[0] = 1; v[1] = 0; v[2] = 0;
-    }
+    plane_point(i, p, v);
     v[3] = eps1[i];
     v[4] = eps2[i];
     v[5] = top - eps1[i];
 }
 
-/* The int items of the array('i') column obj, which must hold n of them, in
- * view; returns -1 with ValueError set otherwise (TypeError when obj exports
- * no buffer). */
-static int read_column(PyObject *obj, Py_ssize_t n, Py_buffer *view)
+/* The int items of the one-dimensional array('i') column obj, in view;
+ * returns -1 with ValueError set otherwise (TypeError when obj exports no
+ * buffer). */
+static int read_column(PyObject *obj, Py_buffer *view)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return -1;
-    if (view->ndim != 1 || view->itemsize != sizeof(int) || !view->format || strcmp(view->format, "i") != 0
-        || view->len / view->itemsize != n) {
+    if (view->ndim != 1 || view->itemsize != sizeof(int) || !view->format || strcmp(view->format, "i") != 0) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError, "columns must be array('i')");
+        return -1;
+    }
+    return 0;
+}
+
+/* The rows of a full-plane report column: read_column, holding n items. */
+static int read_report_column(PyObject *obj, Py_ssize_t n, Py_buffer *view)
+{
+    if (read_column(obj, view) < 0)
+        return -1;
+    if (view->len / view->itemsize != n) {
         PyBuffer_Release(view);
         PyErr_SetString(PyExc_ValueError, "report columns must be array('i') of p*p + p + 1 items");
         return -1;
     }
     return 0;
+}
+
+/* The row indices, ascending, of the items of an array('i') column that are
+ * below a bound, as a list: the rows that jump, or whose rank drops, are few,
+ * so this is how the callers reach them without a Python loop over the
+ * others. */
+static PyObject *rows_below(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"col", "bound", NULL};
+    PyObject *col_obj;
+    long long bound;
+    Py_buffer view;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OL", kwlist, &col_obj, &bound) || read_column(col_obj, &view) < 0)
+        return NULL;
+    const int *col = view.buf;
+    Py_ssize_t n = view.len / view.itemsize, count = 0;
+    for (Py_ssize_t i = 0; i < n; i++)
+        count += col[i] < bound;
+    PyObject *res = PyList_New(count);
+    for (Py_ssize_t i = 0, k = 0; res && k < count; i++) {
+        if (col[i] >= bound)
+            continue;
+        PyObject *row = PyLong_FromSsize_t(i);
+        if (!row) {
+            Py_CLEAR(res);
+            break;
+        }
+        PyList_SET_ITEM(res, k++, row);
+    }
+    PyBuffer_Release(&view);
+    return res;
 }
 
 static int compare_indices(const void *a, const void *b)
@@ -920,9 +1092,9 @@ static PyObject *report_rows(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     Py_ssize_t n = (Py_ssize_t)(p * p + p + 1);
     Py_buffer c1, c2;
-    if (read_column(eps1_obj, n, &c1) < 0)
+    if (read_report_column(eps1_obj, n, &c1) < 0)
         return NULL;
-    if (read_column(eps2_obj, n, &c2) < 0) {
+    if (read_report_column(eps2_obj, n, &c2) < 0) {
         PyBuffer_Release(&c1);
         return NULL;
     }
@@ -978,14 +1150,17 @@ static PyMethodDef methods[] = {
      "First `want` column minimal indices of the pencil s*B0 + t*B1."},
     {"splitting_scan", (PyCFunction)(void (*)(void))splitting_scan, METH_VARARGS | METH_KEYWORDS,
      "splitting_scan(a0, a1, a2, rows, cols, pts_flat, p)\n--\n\n"
-     "Flat list of the two smallest kernel degrees of the pencil restricted to\n"
-     "the dual line of each point."},
+     "(eps1, eps2) array('i') columns: the two smallest kernel degrees, plus 1,\n"
+     "of the pencil restricted to the dual line of each point."},
     {"eval_form_many", (PyCFunction)(void (*)(void))eval_form_many, METH_VARARGS | METH_KEYWORDS,
-     "eval_form_many(coeffs, exps_flat, pts_flat, p)\n--\n\nValues of one form at many points."},
+     "eval_form_many(coeffs, exps_flat, pts_flat, p)\n--\n\n"
+     "array('i') column of the values of one form at many points."},
     {"form_matrix_scan", (PyCFunction)(void (*)(void))form_matrix_scan, METH_VARARGS | METH_KEYWORDS,
      "form_matrix_scan(coeffs, exps_flat, rows, cols, pts_flat, p)\n--\n\n"
-     "Flat list of the rank and the determinant (0 unless square and of full\n"
-     "rank) of a matrix of forms at each point."},
+     "(ranks, dets) array('i') columns: the rank and the determinant (0 unless\n"
+     "square and of full rank) of a matrix of forms at each point."},
+    {"rows_below", (PyCFunction)(void (*)(void))rows_below, METH_VARARGS | METH_KEYWORDS,
+     "rows_below(col, bound)\n--\n\nRow indices of the items of an array('i') column below bound."},
     {"report_rows", (PyCFunction)(void (*)(void))report_rows, METH_VARARGS | METH_KEYWORDS,
      "report_rows(p, eps1, eps2, top, zrows, grows, csv)\n--\n\n"
      "Every row of a full-plane scan report as JSON or CSV text, in plane order."},

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: gen, jump, monoidal, gamma, pencil4, degrees, verify, render.
+Subcommands: gen, jump, monoidal, gamma, pencil4, degrees, verify, render, info.
 Exit codes: 0 success, 1 usage error, 2 degenerate input, 3 verdict failure.
 Every command is replayable: identical flags and seeds give identical bytes.
 """
@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import kernels
+from . import __version__, kernels
 from .algebra import DegenerateInputError, FieldSpec, distinct_degree_profile, prime_field, up_squarefree_part
 from .forms import monoidal_det
 from .geom import PointConfig, random_config, validate_config
@@ -30,12 +30,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write(path: str | None, text: str) -> None:
+# the text layer copies what it writes into one bytes object, so a long part
+# is written a slice at a time: a report is never held twice
+_WRITE_SLICE = 1 << 20
+
+
+def _write(path: str | None, *parts: str) -> None:
+    """Write the parts, one after another, to the file at path or to stdout."""
+
+    def out(fh):
+        for part in parts:
+            for i in range(0, len(part), _WRITE_SLICE):
+                fh.write(part[i : i + _WRITE_SLICE])
+
     if path is None or path == "-":
-        sys.stdout.write(text)
+        out(sys.stdout)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            out(fh)
 
 
 def _field(tag: str) -> FieldSpec:
@@ -152,6 +164,8 @@ def build_parser() -> _Parser:
     _add_config_source(re)
     re.add_argument("--grid", type=_positive, default=160)
     re.add_argument("--out", default=None)
+
+    sp.add_parser("info", help="the kernel backend, the compiled prime range and the version")
     return ap
 
 
@@ -178,7 +192,7 @@ def cmd_jump(args) -> int:
     _need_prime_field(cfg, "jump")
     _warn_on_pure_threads(args.threads, cfg.field.p)
     rep = jumping_scan(cfg, threads=args.threads)
-    _write(args.out, rep.to_json() if args.format == "json" else rep.to_csv())
+    _write(args.out, *(rep.json_parts() if args.format == "json" else rep.csv_parts()))
     if not rep.verdicts.get("gamma_disjoint_from_z", True):
         raise DegenerateInputError("fat-point condition meets the configuration")
     return 0 if rep.all_verdicts_true() else 3
@@ -272,6 +286,15 @@ def cmd_render(args) -> int:
     return 0
 
 
+def cmd_info(args) -> int:
+    compiled = "compiled" in kernels.backends()
+    print(f"backend: {kernels.BACKEND}")
+    print(f"jumplines._fastkern: {'imported' if compiled else 'not importable'}")
+    print(f"compiled kernels: primes p < {kernels.COMPILED_P_LIMIT}")
+    print(f"version: {__version__}")
+    return 0
+
+
 _DISPATCH = {
     "gen": cmd_gen,
     "jump": cmd_jump,
@@ -281,6 +304,7 @@ _DISPATCH = {
     "degrees": cmd_degrees,
     "verify": cmd_verify,
     "render": cmd_render,
+    "info": cmd_info,
 }
 
 

@@ -300,13 +300,13 @@ def _form_det_direct(field: FieldSpec, a) -> HForm:
     return minors[tuple(range(n))]
 
 
-def scan_form_matrix(field: FieldSpec, a, flat) -> list:
+def scan_form_matrix(field: FieldSpec, a, flat):
     """Rank and determinant mod p of the matrix of forms a at many points.
 
-    One kernel call for the points given as one flat list of coordinates;
-    returns the kernel's flat list of (rank, determinant) pairs, with the
-    determinant 0 unless a is square and of full rank.  The entries must
-    share one degree.
+    One kernel call for the points given as one flat list of coordinates
+    or as a `geom.PlaneCoords` range of plane rows; returns the kernel's
+    columns (ranks, determinants), with the determinant 0 unless a is
+    square and of full rank.  The entries must share one degree.
     """
     if field.kind != "fp":
         raise ValueError("batch evaluation needs a prime field")
@@ -335,7 +335,7 @@ def _form_det_interpolated(field: FieldSpec, a, total_deg: int) -> HForm:
     tvals = [field.of(i) for i in range(D + 1)]
     grid = [(field.one, s, t) for s in svals for t in tvals]
     if field.kind == "fp":
-        dets = scan_form_matrix(field, a, [c for pt in grid for c in pt])[1::2]
+        dets = scan_form_matrix(field, a, [c for pt in grid for c in pt])[1]
     else:
         dets = [det(field, Mat.from_rows([[hf_eval(field, f, pt) for f in row] for row in a])) for pt in grid]
     per_s = [up_interpolate(field, tvals, dets[i * (D + 1) : (i + 1) * (D + 1)]) for i in range(D + 1)]

@@ -65,16 +65,34 @@ def dual_line_basis(field: FieldSpec, x: Point):
     return forms[0], forms[1]
 
 
-def plane_points(p: int) -> list:
-    """All points of the projective plane over F_p, in a fixed order.
+def plane_rows(p: int, start: int, stop: int):
+    """The points of rows start..stop-1 of the projective plane over F_p, in order.
 
     Affine chart (a : b : 1) first (lexicographic), then the line at
-    infinity (a : 1 : 0), then (1 : 0 : 0).  Total p^2 + p + 1.
+    infinity (a : 1 : 0), then (1 : 0 : 0): p^2 + p + 1 rows in all.
     """
-    pts = [(a, b, 1) for a in range(p) for b in range(p)]
-    pts += [(a, 1, 0) for a in range(p)]
-    pts.append((1, 0, 0))
-    return pts
+    pp = p * p
+    for i in range(start, min(stop, pp)):
+        yield i // p, i % p, 1
+    for a in range(max(start, pp) - pp, min(stop, pp + p) - pp):
+        yield a, 1, 0
+    if start <= pp + p < stop:
+        yield 1, 0, 0
+
+
+def plane_points(p: int) -> list:
+    """All points of the projective plane over F_p, in the `plane_rows` order."""
+    return list(plane_rows(p, 0, p * p + p + 1))
+
+
+def plane_point(p: int, i: int) -> Point:
+    """The point of row i of `plane_points(p)`, the inverse of `plane_index`."""
+    pp = p * p
+    if not 0 <= i <= pp + p:
+        raise ValueError(f"{i} is not a row of the plane over F_{p}")
+    if i < pp:
+        return i // p, i % p, 1
+    return (i - pp, 1, 0) if i < pp + p else (1, 0, 0)
 
 
 def plane_index(p: int, pt) -> int:
@@ -93,6 +111,49 @@ def plane_index(p: int, pt) -> int:
 def flat_coords(points) -> list:
     """The coordinates of F_p points (ints) as one flat list, as the kernels take them."""
     return list(chain.from_iterable(points))
+
+
+@dataclass(frozen=True)
+class PlaneCoords:
+    """The flat coordinates of rows start..stop-1 of `plane_points(p)`, computed on demand.
+
+    A read-only sequence of 3 * (stop - start) ints that the scan kernels
+    take in place of a `flat_coords` list: they read (p, start, stop) and
+    compute each point from its row, so a scan of the plane, or of a
+    thread's chunk of it, builds no list.  A slice on multiples of 3 is
+    another range; any other slice is a list.
+    """
+
+    p: int
+    start: int
+    stop: int
+
+    @classmethod
+    def whole(cls, p: int) -> "PlaneCoords":
+        """Every row of the plane over F_p."""
+        return cls(p, 0, p * p + p + 1)
+
+    def __post_init__(self):
+        if not 0 <= self.start <= self.stop <= self.p * self.p + self.p + 1:
+            raise ValueError(f"rows {self.start}..{self.stop} are not within the plane over F_{self.p}")
+
+    def __len__(self) -> int:
+        return 3 * (self.stop - self.start)
+
+    def __getitem__(self, k):
+        n = len(self)
+        if isinstance(k, slice):
+            lo, hi, step = k.indices(n)
+            if step == 1 and lo % 3 == 0 and hi % 3 == 0:
+                return PlaneCoords(self.p, self.start + lo // 3, self.start + max(lo, hi) // 3)
+            return [self[i] for i in range(lo, hi, step)]
+        if not -n <= k < n:
+            raise IndexError("plane range index out of range")
+        k %= n
+        return plane_point(self.p, self.start + k // 3)[k % 3]
+
+    def __iter__(self):
+        return chain.from_iterable(plane_rows(self.p, self.start, self.stop))
 
 
 @dataclass(frozen=True)

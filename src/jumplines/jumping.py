@@ -53,7 +53,17 @@ from .forms import (
     sylvester_resultant,
     binary_form_to_upoly,
 )
-from .geom import PointConfig, Point, flat_coords, normalize_point, plane_index, plane_points, validate_config
+from .geom import (
+    PlaneCoords,
+    PointConfig,
+    Point,
+    flat_coords,
+    normalize_point,
+    plane_index,
+    plane_point,
+    plane_points,
+    validate_config,
+)
 from .intersect import length_accounting
 from .steiner import generic_eps1, splitting_columns, steiner_pencil
 
@@ -67,8 +77,9 @@ class VerificationError(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-def eval_form_on_points(field: FieldSpec, f: HForm, flat) -> list:
-    """Values of f at the points given as one flat list of coordinates."""
+def eval_form_on_points(field: FieldSpec, f: HForm, flat):
+    """Values of f at the points given as one flat list of coordinates or as
+    a `geom.PlaneCoords` range of plane rows: the kernel's column."""
     if field.kind != "fp":
         raise ValueError("batch evaluation needs a prime field")
     coeffs = [int(c) for c in f.coeffs]
@@ -77,16 +88,19 @@ def eval_form_on_points(field: FieldSpec, f: HForm, flat) -> list:
 
 
 def rank_drops(field: FieldSpec, rows, flat) -> list:
-    """Does the matrix of forms `rows` lose column rank at each point?
+    """Positions, ascending, of the points where the matrix of forms `rows`
+    loses column rank.
 
-    The points are given as one flat list of coordinates (`flat_coords`).
-    The fat-point test: with a system's order-k partials as rows and its
-    members as columns, the rank drops at x iff some member has all order-k
-    partials zero at x.  One kernel call evaluates and ranks at every point;
-    the entries must share one degree.
+    The points are given as one flat list of coordinates (`flat_coords`) or
+    as a `geom.PlaneCoords` range of plane rows, whose positions are then
+    counted from the range's first row.  The fat-point test: with a
+    system's order-k partials as rows and its members as columns, the rank
+    drops at x iff some member has all order-k partials zero at x.  One
+    kernel call evaluates and ranks at every point; the entries must share
+    one degree.
     """
-    q = len(rows[0])
-    return [r < q for r in scan_form_matrix(field, rows, flat)[0::2]]
+    ranks, _ = scan_form_matrix(field, rows, flat)
+    return kernels.rows_below(ranks, len(rows[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +108,14 @@ def rank_drops(field: FieldSpec, rows, flat) -> list:
 # ---------------------------------------------------------------------------
 
 
-def gamma_scan(cfg: PointConfig, plane=None):
+def gamma_scan(cfg: PointConfig):
     """(gamma points, configuration points hitting the fat-point condition).
 
     Gamma is the set of plane points outside the configuration where the
     symbolic jet matrix drops rank, i.e. where some degree-(n-1) curve
     through the 2n points is (n-2)-fold singular.  The second list must be
-    empty for the disjoint-union statement to hold.  `plane` is
-    (`plane_points(p)`, its `flat_coords`) when the caller already built them.
+    empty for the disjoint-union statement to hold.  One kernel call scans
+    every row of the plane.
     """
     field = cfg.field
     if field.kind != "fp":
@@ -112,15 +126,11 @@ def gamma_scan(cfg: PointConfig, plane=None):
     n = m // 2
     if n <= 3:
         return [], []
-    if plane is None:
-        pts = plane_points(field.p)
-        plane = pts, flat_coords(pts)
-    pts, flat = plane
-    zset = set(cfg.points)
-    gamma, zhits = [], []
-    for pt, drop in zip(pts, rank_drops(field, gamma_minor_matrix(cfg), flat)):
-        if drop:
-            (zhits if pt in zset else gamma).append(pt)
+    p = field.p
+    zrows = set(_rows_of(p, cfg.points))
+    drops = rank_drops(field, gamma_minor_matrix(cfg), PlaneCoords.whole(p))
+    gamma = [plane_point(p, i) for i in drops if i not in zrows]
+    zhits = [plane_point(p, i) for i in drops if i in zrows]
     return sorted(gamma), zhits
 
 
@@ -137,12 +147,6 @@ def gamma_points(cfg: PointConfig) -> list:
 _CSV_HEADER = "x0,x1,x2,eps1,eps2,order,in_z,in_gamma\n"
 
 
-def _order_column(m: int, eps1) -> list:
-    """Jumping order at each point: how far eps1 falls below its generic value."""
-    top = generic_eps1(m)
-    return [top - e for e in eps1]
-
-
 def _rows_of(p: int, marked) -> list:
     """Row indices, ascending, of the plane points `marked` over F_p."""
     return sorted(plane_index(p, pt) for pt in marked)
@@ -150,17 +154,16 @@ def _rows_of(p: int, marked) -> list:
 
 @dataclass
 class JumpingReport:
-    """A full-plane scan, kept as columns: row i is `points[i]` with its
-    splitting type (`eps1[i]`, `eps2[i]`).
+    """A full-plane scan, kept as columns: row i is the point
+    `plane_point(p, i)` with its splitting type (`eps1[i]`, `eps2[i]`).
 
-    The jumping order and the Z and Gamma flags of each row are derived from
-    the configuration and `gamma`.
+    The points, the jumping order and the Z and Gamma flags of each row are
+    derived from p, the configuration and `gamma`.
     """
 
     config: PointConfig
     epsilon: int  # 1 for an even configuration (finite jumping scheme), 0 otherwise
     n: int
-    points: list  # the scanned plane points, in scan order
     eps1: array
     eps2: array
     gamma: tuple
@@ -170,11 +173,30 @@ class JumpingReport:
     reseeds: int = 0
     seed: int | None = None
 
+    @property
+    def points(self) -> list:
+        """The scanned plane points, in row order."""
+        return plane_points(self.config.field.p)
+
     def all_verdicts_true(self) -> bool:
         return all(self.verdicts.values())
 
     def order(self) -> list:
-        return _order_column(len(self.config), self.eps1)
+        """Jumping order of every row: how far eps1 falls below its generic value."""
+        top = generic_eps1(len(self.config))
+        return [top - e for e in self.eps1]
+
+    def order_at(self, row: int) -> int:
+        """The jumping order of one row."""
+        return generic_eps1(len(self.config)) - self.eps1[row]
+
+    def jumping_rows(self) -> list:
+        """The rows of order >= 1, ascending."""
+        return kernels.rows_below(self.eps1, generic_eps1(len(self.config)))
+
+    def z_rows(self) -> list:
+        """The rows of the configuration points, ascending."""
+        return _rows_of(self.config.field.p, self.config.points)
 
     def _flags(self, marked) -> bytes:
         flags = bytearray(len(self.eps1))
@@ -191,10 +213,11 @@ class JumpingReport:
     def _formatted_rows(self, csv: bool) -> str:
         p = self.config.field.p
         top = generic_eps1(len(self.config))
-        zrows, grows = _rows_of(p, self.config.points), _rows_of(p, self.gamma)
-        return kernels.report_rows(p, self.eps1, self.eps2, top, zrows, grows, csv)
+        return kernels.report_rows(p, self.eps1, self.eps2, top, self.z_rows(), _rows_of(p, self.gamma), csv)
 
-    def to_json(self) -> str:
+    def json_parts(self) -> tuple:
+        """The JSON report as three parts, to be written one after another:
+        the head up to the "records" list, its rows, and the tail."""
         f = self.config.field
         payload = {
             "config": {
@@ -212,12 +235,18 @@ class JumpingReport:
             "records": [],
         }
         head = json.dumps(payload, indent=2)
-        # "records" is the last key: its rows go between the "[" and the "]\n}" closing it;
-        # one join copies the rows once, where two concatenations would copy them twice
-        return "".join((head[:-3], "\n", self._formatted_rows(csv=False), "\n  ]\n}\n"))
+        # "records" is the last key: its rows go between the "[" and the "]\n}" closing it
+        return head[:-3] + "\n", self._formatted_rows(csv=False), "\n  ]\n}\n"
+
+    def csv_parts(self) -> tuple:
+        """The CSV report as its header and its rows."""
+        return _CSV_HEADER, self._formatted_rows(csv=True)
+
+    def to_json(self) -> str:
+        return "".join(self.json_parts())
 
     def to_csv(self) -> str:
-        return _CSV_HEADER + self._formatted_rows(csv=True)
+        return "".join(self.csv_parts())
 
 
 def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
@@ -228,32 +257,34 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
     the jumping set must be exactly the zero locus of the monoidal
     determinant.  Any pointwise failure flips the corresponding verdict, and
     the witness is the first plane point, in scan order, that fails a check;
-    nothing fails silently.
+    nothing fails silently.  The kernels scan the plane by row index and
+    return columns; the checks visit only the rows that jump, vanish or are
+    marked.
     """
     field = cfg.field
     if field.kind != "fp":
         raise ValueError("exhaustive scans need a prime field")
     m = len(cfg)
+    p = field.p
+    plane = PlaneCoords.whole(p)
     sp = steiner_pencil(cfg)
-    pts = plane_points(field.p)
-    flat = flat_coords(pts)
-    eps1, eps2 = splitting_columns(sp, flat, threads=threads)
-    order = _order_column(m, eps1)
-    jumping = {i for i, o in enumerate(order) if o >= 1}
-    zrows = _rows_of(field.p, cfg.points)
+    eps1, eps2 = splitting_columns(sp, plane, threads=threads)
+    top = generic_eps1(m)
+    jumping = set(kernels.rows_below(eps1, top))
+    zrows = _rows_of(p, cfg.points)
 
     even = m % 2 == 0
     n = m // 2 if even else (m - 1) // 2
     verdicts: dict = {}
-    counts: dict = {"m": m, "n": n, "p": field.p, "plane_points": len(pts)}
+    counts: dict = {"m": m, "n": n, "p": p, "plane_points": plane.stop}
 
     if even:
-        gamma, zhits = gamma_scan(cfg, (pts, flat)) if n > 3 else ([], [])
-        grows = _rows_of(field.p, gamma)
+        gamma, zhits = gamma_scan(cfg) if n > 3 else ([], [])
+        grows = _rows_of(p, gamma)
         z_order = n - 2
         bad_set = jumping ^ set(grows + (zrows if z_order >= 1 else []))
-        bad_zorder = {i for i in zrows if order[i] != z_order}
-        bad_gorder = {i for i in grows if order[i] != 1}
+        bad_zorder = {i for i in zrows if top - eps1[i] != z_order}
+        bad_gorder = {i for i in grows if top - eps1[i] != 1}
         bad = bad_set | bad_zorder | bad_gorder
         verdicts["jumping_set_is_z_union_gamma"] = not bad_set
         verdicts["order_on_z_is_n_minus_2"] = not bad_zorder
@@ -268,8 +299,8 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
         report_gamma = tuple(gamma)
     else:
         mono = monoidal_det(cfg)
-        vals = eval_form_on_points(field, mono, flat)
-        zeros = {i for i, v in enumerate(vals) if v == 0}
+        # the values are residues, so the rows below 1 are the zeros
+        zeros = set(kernels.rows_below(eval_form_on_points(field, mono, plane), 1))
         bad = jumping ^ zeros
         verdicts["jumping_set_is_monoidal_zero_locus"] = not bad
         # a nonzero determinant of quadric entries has degree n(n-1)
@@ -283,13 +314,12 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
         config=cfg,
         epsilon=1 if even else 0,
         n=n,
-        points=pts,
         eps1=eps1,
         eps2=eps2,
         gamma=report_gamma,
         counts=counts,
         verdicts=verdicts,
-        witness=pts[min(bad)] if bad else None,
+        witness=plane_point(p, min(bad)) if bad else None,
     )
 
 
@@ -519,7 +549,8 @@ def containment_monoidal(report: JumpingReport, x_extra: Point) -> bool:
     x_extra = normalize_point(field, x_extra)
     aug = PointConfig(cfg.points + (x_extra,), field)
     validate_config(aug, degrees=(m // 2,))
-    return all(rank_drops(field, monoidal_matrix(aug), flat_coords(cfg.points + report.gamma)))
+    marked = cfg.points + report.gamma
+    return len(rank_drops(field, monoidal_matrix(aug), flat_coords(marked))) == len(marked)
 
 
 def _valid_extra_point(cfg: PointConfig, rng) -> Point:
@@ -549,19 +580,24 @@ def base_locus_equality(report: JumpingReport, trials: int, seed: int):
 
     Returns ``(equal, intersection)`` where ``equal`` says whether the
     intersection over all plane points equals Z union the report's Gamma
-    exactly.  Later curves are ranked only at the points still in it.
+    exactly.  The first curve is ranked at every row of the plane, later
+    ones only at the points still in the intersection.
     """
     cfg = report.config
     field = cfg.field
     if len(cfg) % 2:
         raise DegenerateInputError("base-locus check needs an even configuration")
     rng = random.Random(f"jumplines:baselocus:{field.tag}:{seed}")
-    alive = plane_points(field.p)
+    alive = None  # the whole plane, until a curve is ranked
     for _ in range(trials):
         x = _valid_extra_point(cfg, rng)
         rows = monoidal_matrix(PointConfig(cfg.points + (x,), field))
-        alive = [pt for pt, drop in zip(alive, rank_drops(field, rows, flat_coords(alive))) if drop]
-    return set(alive) == set(cfg.points + report.gamma), set(alive)
+        if alive is None:
+            alive = [plane_point(field.p, i) for i in rank_drops(field, rows, PlaneCoords.whole(field.p))]
+        else:
+            alive = [alive[i] for i in rank_drops(field, rows, flat_coords(alive))]
+    alive = set(plane_points(field.p) if alive is None else alive)
+    return alive == set(cfg.points + report.gamma), alive
 
 
 # ---------------------------------------------------------------------------
@@ -634,21 +670,21 @@ def lien_equivalence(report: JumpingReport):
     must be equivalent to fat_point_dim(z, x, a, a+1) >= 1 for some a below
     the balanced index floor((m-1)/2).  Configuration points are skipped (the
     ideal-sheaf translation of the jumping test is only valid away from Z).
-    Returns (ok, witness), the first failing point in scan order.
+    Each system is ranked at every row of the plane in one kernel call, and
+    only the rows that jump or drop rank are compared.  Returns (ok,
+    witness), the first failing point in scan order.
     """
     cfg = report.config
     field = cfg.field
     top = generic_eps1(len(cfg))
     if 0 < field.characteristic() <= top:
         raise ValueError("jet reduction needs characteristic 0 or p > degree")
-    keep = [i for i, z in enumerate(report.in_z()) if not z]
-    order = report.order()
-    pts = [report.points[i] for i in keep]
-    fat = [False] * len(pts)
+    plane = PlaneCoords.whole(field.p)
+    fat = set()
     for a in range(1, top):
         system = curves_through(cfg, a + 1)
         if system.dim():
-            drops = rank_drops(field, _symbolic_jet_rows(field, system, a - 1), flat_coords(pts))
-            fat = [f or d for f, d in zip(fat, drops)]
-    witness = next((pt for pt, i, f in zip(pts, keep, fat) if (order[i] >= 1) != f), None)
+            fat.update(rank_drops(field, _symbolic_jet_rows(field, system, a - 1), plane))
+    bad = (set(report.jumping_rows()) ^ fat).difference(report.z_rows())
+    witness = plane_point(field.p, min(bad)) if bad else None
     return witness is None, witness

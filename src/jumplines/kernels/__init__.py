@@ -10,6 +10,12 @@ of them before reducing.  Below COMPILED_P_LIMIT = 2**31 such a product stays
 under 2**62, which leaves room for the sums around it; calls with a larger p
 run on the pure twin, whatever the backend.  Both backends raise ValueError
 for a modulus that is not prime.
+
+The scans (`splitting_scan`, `eval_form_many`, `form_matrix_scan`) take
+their points as a flat coordinate list or as a `geom.PlaneCoords` range of
+plane rows, which they enumerate themselves, and return `array('i')`
+columns; `rows_below` finds the few rows of a column that matter without a
+Python loop over the others.
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ def eval_form_many(coeffs, exps_flat, pts_flat, p: int):
 
 def form_matrix_scan(coeffs, exps_flat, rows: int, cols: int, pts_flat, p: int):
     return impl_for(p).form_matrix_scan(coeffs, exps_flat, rows, cols, pts_flat, p)
+
+
+def rows_below(col, bound: int) -> list:
+    return _impl.rows_below(col, bound)
 
 
 def report_rows(p: int, eps1, eps2, top: int, zrows, grows, csv: bool) -> str:

@@ -2,14 +2,18 @@
 
 Same conventions as the compiled module `jumplines._fastkern`: flat row-major
 int lists, entries reduced mod p, deterministic first-nonzero pivoting.
+The scans take their points as a flat coordinate list or as a
+`geom.PlaneCoords` range of plane rows, which they enumerate with
+`geom.plane_rows`, and return `array('i')` columns.
 Used automatically when the extension is not built (or when JUMPLINES_PURE
 is set); the two backends must agree bit for bit.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 
 from ..algebra import is_prime
 
@@ -22,6 +26,28 @@ def _check_modulus(p: int) -> None:
     """Every inverse here assumes a prime modulus."""
     if not _is_prime(p):
         raise ValueError(f"the kernels need a prime modulus, got {p}")
+
+
+def _points(pts, p: int):
+    """The points of a scan as (x0, x1, x2) triples: pts is a
+    `geom.PlaneCoords` range of plane rows over F_p, or a flat coordinate
+    list whose trailing partial triple is ignored."""
+    from ..geom import PlaneCoords, plane_rows  # geom imports the kernels
+
+    if not isinstance(pts, PlaneCoords):
+        it = iter(pts)
+        return zip(it, it, it)
+    if pts.p != p:
+        raise ValueError(f"a plane range over F_{pts.p} given to a kernel mod {p}")
+    if not 0 <= pts.start <= pts.stop <= p * p + p + 1:
+        raise ValueError("a plane range must lie within the p*p + p + 1 rows of the plane")
+    return plane_rows(p, pts.start, pts.stop)
+
+
+def _residues(vals, p: int):
+    """A column of residues mod p: array('i') when they fit, as those of
+    every compiled call do; a list of ints for larger primes."""
+    return array("i", vals) if p <= 1 << 31 else list(vals)
 
 
 def _echelon(a, rows: int, width: int, pcols: int, p: int, reduced: bool = False):
@@ -171,25 +197,27 @@ def _dual_basis_mod_p(x0: int, x1: int, x2: int, p: int):
 
 
 def splitting_scan(a0, a1, a2, rows: int, cols: int, pts_flat, p: int):
-    """Per-point kernel degrees of the pencil restricted to each dual line.
+    """Splitting type (eps1, eps2) of the Steiner bundle on each dual line.
 
-    pts_flat holds normalized coordinate triples; returns a flat list of
-    2 * npoints ints (degree pair per point, ascending).  Consecutive points
-    that share a form of their dual basis share its member, which is built
-    once and reduced once it is shared; the staircase then runs with the
-    shared member as B0 (see `splitting_scan` in _fastkern.c).  A shared
-    member of full row rank also gets the products A_k*K with its kernel
-    basis K, one triple per entry, so that level 0's B1*K is their
-    combination by the other form.
+    pts_flat holds normalized coordinate triples, or is a `geom.PlaneCoords`
+    range of plane rows; returns two array('i') columns, one item per point:
+    the two smallest column minimal indices of the pencil restricted to the
+    dual line, ascending, each plus the twist 1.  Consecutive points that
+    share a form of their dual basis share its member, which is built once
+    and reduced once it is shared; the staircase then runs with the shared
+    member as B0 (see `splitting_scan` in _fastkern.c).  A shared member of
+    full row rank also gets the products A_k*K with its kernel basis K, one
+    triple per entry, so that level 0's B1*K is their combination by the
+    other form.
     """
     _check_modulus(p)
-    npts = len(pts_flat) // 3
+    points = _points(pts_flat, p)
     entries = [(a0[i], a1[i], a2[i]) for i in range(rows * cols)]
     a_rows = [[a[i * cols : (i + 1) * cols] for i in range(rows)] for a in (a0, a1, a2)]
-    out = [0] * (2 * npts)
+    eps1, eps2 = array("i"), array("i")
     forms, members, level0 = [None, None], [None, None], [None, None]
-    for n in range(npts):
-        ls = _dual_basis_mod_p(pts_flat[3 * n], pts_flat[3 * n + 1], pts_flat[3 * n + 2], p)
+    for x0, x1, x2 in points:
+        ls = _dual_basis_mod_p(x0, x1, x2, p)
         shared = None
         for h, form in enumerate(ls):
             if form == forms[h]:
@@ -209,11 +237,12 @@ def splitting_scan(a0, a1, a2, rows: int, cols: int, pts_flat, p: int):
             r0, piv, ak = level0[shared]
             c0, c1, c2 = ls[1 - shared]
             m1k = [[(c0 * x + c1 * y + c2 * z) % p for x, y, z in row] for row in ak]
-            degs = _pencil_degrees(members[shared], members[1 - shared], rows, cols, p, 2, (r0, piv, m1k))
+            d1, d2 = _pencil_degrees(members[shared], members[1 - shared], rows, cols, p, 2, (r0, piv, m1k))
         else:
-            degs = _pencil_degrees(members[0], members[1], rows, cols, p, 2)
-        out[2 * n], out[2 * n + 1] = degs
-    return out
+            d1, d2 = _pencil_degrees(members[0], members[1], rows, cols, p, 2)
+        eps1.append(d1 + 1)
+        eps2.append(d2 + 1)
+    return eps1, eps2
 
 
 MAX_EXP = 1 << 20
@@ -241,24 +270,27 @@ def _monomial_values(x0: int, x1: int, x2: int, exps, deg: int, p: int) -> list:
 
 
 def eval_form_many(coeffs, exps_flat, pts_flat, p: int):
-    """Evaluate one form (coefficients + flat exponent triples) at many points."""
+    """Values of one form (coefficients + flat exponent triples) at many
+    points, as a column of residues (see `_residues`)."""
     _check_modulus(p)
     exps, deg = _exponents(exps_flat, len(coeffs))
     terms = [(k, c % p) for k, c in enumerate(coeffs) if c % p]
-    out = []
-    for n in range(len(pts_flat) // 3):
-        mv = _monomial_values(pts_flat[3 * n] % p, pts_flat[3 * n + 1] % p, pts_flat[3 * n + 2] % p, exps, deg, p)
-        out.append(sum(c * mv[k] for k, c in terms) % p)
-    return out
+    points = _points(pts_flat, p)
+    vals = []
+    for x0, x1, x2 in points:
+        mv = _monomial_values(x0 % p, x1 % p, x2 % p, exps, deg, p)
+        vals.append(sum(c * mv[k] for k, c in terms) % p)
+    return _residues(vals, p)
 
 
 def form_matrix_scan(coeffs, exps_flat, rows: int, cols: int, pts_flat, p: int):
     """Rank and determinant of a rows x cols matrix of forms at each point.
 
     The entries share the monomials of exps_flat; coeffs holds the
-    coefficients of each entry in turn, row by row.  Returns a flat list of
-    2 * npoints ints: per point the rank of the evaluated matrix and its
-    determinant, which is 0 unless the matrix is square and of full rank.
+    coefficients of each entry in turn, row by row.  Returns two columns,
+    one item per point: the ranks of the evaluated matrices, array('i'),
+    and their determinants (see `_residues`), each 0 unless the matrix is
+    square and of full rank.
     """
     _check_modulus(p)
     if rows < 0 or cols < 0:
@@ -271,9 +303,10 @@ def form_matrix_scan(coeffs, exps_flat, rows: int, cols: int, pts_flat, p: int):
         [(k, c % p) for k, c in enumerate(coeffs[e * nmono : (e + 1) * nmono]) if c % p]
         for e in range(rows * cols)
     ]
-    out = []
-    for n in range(len(pts_flat) // 3):
-        mv = _monomial_values(pts_flat[3 * n] % p, pts_flat[3 * n + 1] % p, pts_flat[3 * n + 2] % p, exps, deg, p)
+    points = _points(pts_flat, p)
+    ranks, dets = array("i"), []
+    for x0, x1, x2 in points:
+        mv = _monomial_values(x0 % p, x1 % p, x2 % p, exps, deg, p)
         vals = [sum(c * mv[k] for k, c in terms) % p for terms in entries]
         a = [vals[i * cols : (i + 1) * cols] for i in range(rows)]
         piv, parity = _echelon(a, rows, cols, cols, p)
@@ -284,8 +317,23 @@ def form_matrix_scan(coeffs, exps_flat, rows: int, cols: int, pts_flat, p: int):
                 d = d * a[i][i] % p
             if parity:
                 d = p - d
-        out += (len(piv), d)
-    return out
+        ranks.append(len(piv))
+        dets.append(d)
+    return ranks, _residues(dets, p)
+
+
+def _check_column(col) -> memoryview:
+    view = memoryview(col)
+    if view.format != "i" or view.ndim != 1:
+        raise ValueError("columns must be array('i')")
+    return view
+
+
+def rows_below(col, bound: int) -> list:
+    """Row indices, ascending, of the items of the array('i') column col
+    that are below bound."""
+    _check_column(col)
+    return [i for i, v in enumerate(col) if v < bound]
 
 
 # one report row (x0, x1, x2, eps1, eps2, order, in_z, in_gamma), written as
@@ -313,14 +361,15 @@ def report_rows(p: int, eps1, eps2, top: int, zrows, grows, csv: bool) -> str:
     grows.  The columns are array('i') of p*p + p + 1 items.  CSV rows are
     concatenated, JSON rows joined by ",\\n".
     """
+    from ..geom import plane_rows
+
     _check_modulus(p)
     n = p * p + p + 1
     for col in (eps1, eps2):
-        view = memoryview(col)
-        if view.format != "i" or view.ndim != 1 or len(view) != n:
+        if len(_check_column(col)) != n:
             raise ValueError("report columns must be array('i') of p*p + p + 1 items")
     zf, gf = _row_flags(zrows, n), _row_flags(grows, n)
-    points = chain(((a, b, 1) for a in range(p) for b in range(p)), ((a, 1, 0) for a in range(p)), [(1, 0, 0)])
+    points = plane_rows(p, 0, n)
     template, sep = (_CSV_ROW, "") if csv else (_JSON_ROW, ",\n")
     rows = (
         template % (x0, x1, x2, a, b, top - a, z, g)

@@ -244,10 +244,12 @@ def jumping_order(sp: SteinerPencil, x: Point) -> int:
 def splitting_columns(sp: SteinerPencil, pts_flat, threads: int = 1):
     """(eps1, eps2) columns of the splitting types at many points (prime fields only).
 
-    The points are given as one flat list of coordinates (`flat_coords`).
-    Two `array('i')` columns, one entry per point, in the order of the points.
-    Deterministic regardless of thread count: the point list is chunked in
-    order and the per-chunk results are concatenated in order.
+    The points are one flat list of coordinates (`flat_coords`) or a
+    `geom.PlaneCoords` range of plane rows.  Two `array('i')` columns, one
+    entry per point, in the order of the points.  Deterministic regardless
+    of thread count: the points are cut in order into chunks, each a range
+    of rows when the points are, and the per-chunk columns are concatenated
+    in order.
     """
     field = sp.config.field
     if field.kind != "fp":
@@ -262,16 +264,17 @@ def splitting_columns(sp: SteinerPencil, pts_flat, threads: int = 1):
         return kernels.splitting_scan(a0, a1, a2, rows, cols, chunk, field.p)
 
     if threads <= 1 or npts < 64:
-        raw = run(pts_flat)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        return run(pts_flat)
+    from concurrent.futures import ThreadPoolExecutor
 
-        step = 3 * max(64, (npts + threads - 1) // threads)
-        chunks = [pts_flat[i : i + step] for i in range(0, len(pts_flat), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = [v for part in pool.map(run, chunks) for v in part]
-    # the kernel returns raw kernel degrees; the twist shifts each by one
-    return array("i", [d + 1 for d in raw[0::2]]), array("i", [d + 1 for d in raw[1::2]])
+    step = 3 * max(64, (npts + threads - 1) // threads)
+    chunks = [pts_flat[i : i + step] for i in range(0, 3 * npts, step)]
+    eps1, eps2 = array("i"), array("i")
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for part1, part2 in pool.map(run, chunks):
+            eps1 += part1
+            eps2 += part2
+    return eps1, eps2
 
 
 def splitting_scan(sp: SteinerPencil, points, threads: int = 1):

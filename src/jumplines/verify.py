@@ -173,7 +173,7 @@ def criterion_4(bundles) -> CriterionResult:
             ok, witness = lien_equivalence(rep)
             if not ok:
                 return False, f"seed {rep.seed}: witness {witness}"
-            if any(o < 1 for o, z in zip(rep.order(), rep.in_z()) if z):
+            if any(rep.order_at(i) < 1 for i in rep.z_rows()):
                 return False, f"seed {rep.seed}: a configuration point does not jump"
         return True, f"every plane point off Z, and all of Z jumps, {len(bundles)} seeds"
 
@@ -207,7 +207,7 @@ def criterion_6(bundles) -> CriterionResult:
         for b in bundles:
             rep = b.report
             p9 = ninth_point(rep.config)
-            if p9 in rep.config or p9 in rep.gamma or rep.order()[plane_index(rep.config.field.p, p9)] != 0:
+            if p9 in rep.config or p9 in rep.gamma or rep.order_at(plane_index(rep.config.field.p, p9)) != 0:
                 return False, f"seed {rep.seed}: ninth point {p9} misbehaves"
             pts.append(p9)
         return True, f"base point verified, outside Z and Gamma, order 0 ({len(pts)} seeds)"

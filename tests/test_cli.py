@@ -264,3 +264,37 @@ def test_threads_on_the_pure_backend_warn(tmp_path, capsys, monkeypatch, backend
         code, out, err = run(capsys, "verify", "--threads", threads)
         assert code == 0 and out == ""
         assert ("warning: --threads 3" in err) == (warns and threads == "3")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_jump_writes_the_report_in_slices(tmp_path, capsys, monkeypatch, assert_same_text, fmt):
+    # the report goes out part by part, a few KiB at a time, to a file and to
+    # stdout, and keeps the bytes of to_json / to_csv
+    from jumplines.algebra import prime_field
+    from jumplines.geom import random_config
+    from jumplines.jumping import jumping_scan
+
+    monkeypatch.setattr("jumplines.cli._WRITE_SLICE", 4099)
+    rep = jumping_scan(random_config(8, prime_field(101), seed=1))
+    want = rep.to_json() if fmt == "json" else rep.to_csv()
+    outp = tmp_path / f"rep.{fmt}"
+    code, out, _ = run(capsys, "jump", "--count", "8", "--seed", "1", "--format", fmt, "--out", str(outp))
+    assert code == 0 and out == ""
+    assert_same_text(outp.read_bytes().decode(), want)
+    code, out, _ = run(capsys, "jump", "--count", "8", "--seed", "1", "--format", fmt)
+    assert code == 0
+    assert_same_text(out, want)
+
+
+def test_info(capsys):
+    import jumplines
+
+    code, out, err = run(capsys, "info")
+    assert code == 0 and err == ""
+    loaded = "imported" if "compiled" in kernels.backends() else "not importable"
+    assert out.splitlines() == [
+        f"backend: {kernels.BACKEND}",
+        f"jumplines._fastkern: {loaded}",
+        "compiled kernels: primes p < 2147483648",
+        f"version: {jumplines.__version__}",
+    ]

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import random
+from array import array
 
 import pytest
 
@@ -24,7 +25,7 @@ from jumplines.forms import (
     monoidal_det,
     monoidal_matrix,
 )
-from jumplines.geom import flat_coords, normalize_point, plane_points, random_config
+from jumplines.geom import PlaneCoords, flat_coords, normalize_point, plane_points, random_config
 from jumplines.jumping import (
     VerificationError,
     _valid_extra_point,
@@ -181,7 +182,8 @@ def _drop_first_gamma_point(monkeypatch):
 
 
 @pytest.mark.parametrize("which", ["eight points, Gamma", "seven points", "four points", "witness"])
-def test_report_serializes_as_the_standard_library_does(which, report8, cfg8, gamma8, monkeypatch):
+def test_report_serializes_as_the_standard_library_does(which, report8, cfg8, gamma8, monkeypatch,
+                                                       assert_same_text):
     if which == "eight points, Gamma":
         rep = report8
         assert rep.gamma and rep.witness is None
@@ -195,8 +197,8 @@ def test_report_serializes_as_the_standard_library_does(which, report8, cfg8, ga
         rep = dataclasses.replace(jumping_scan(cfg8), seed=5, reseeds=2)
         assert rep.witness == gamma8[0]
     want_json, want_csv = _stdlib_serializations(rep)
-    assert rep.to_json() == want_json
-    assert rep.to_csv() == want_csv
+    assert_same_text(rep.to_json(), want_json)
+    assert_same_text(rep.to_csv(), want_csv)
 
 
 def test_scan_witness_is_a_dropped_gamma_point(cfg8, gamma8, monkeypatch):
@@ -298,6 +300,8 @@ def test_base_locus_equality(report8, cfg8, gamma8, report6):
     assert alive1 > set(cfg8.points) | set(gamma8)
     equal6, alive6 = base_locus_equality(report6, trials=4, seed=0)
     assert equal6 and alive6 == set(report6.config.points)
+    # no curve intersects to the whole plane
+    assert base_locus_equality(report6, trials=0, seed=0) == (False, set(plane_points(101)))
 
 
 def test_base_locus_equality_reads_the_reported_gamma(report8, gamma8):
@@ -349,7 +353,7 @@ def test_lien_equivalence_returns_the_flipped_record(report8):
     order = report8.order()
     i = next(i for i, pt in enumerate(report8.points) if order[i] == 0 and pt not in zset)
     # one step down in eps1 (and up in eps2) raises the order there from 0 to 1
-    eps1, eps2 = list(report8.eps1), list(report8.eps2)
+    eps1, eps2 = array("i", report8.eps1), array("i", report8.eps2)
     eps1[i] -= 1
     eps2[i] += 1
     flipped = dataclasses.replace(report8, eps1=eps1, eps2=eps2)
@@ -377,7 +381,9 @@ def test_rank_drops_is_the_monoidal_zero_set(monkeypatch, backend, m):
     pts = plane_points(31)
     mono = monoidal_det(cfg)
     zeros = [hf_eval(field, mono, pt) == 0 for pt in pts]
-    assert rank_drops(field, monoidal_matrix(cfg), flat_coords(pts)) == zeros
+    want = [i for i, z in enumerate(zeros) if z]
+    assert rank_drops(field, monoidal_matrix(cfg), flat_coords(pts)) == want
+    assert rank_drops(field, monoidal_matrix(cfg), PlaneCoords.whole(31)) == want
     assert any(zeros) and not all(zeros)
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from jumplines.algebra import RATIONALS, Mat, det, mat_mul, prime_field, rank
 from jumplines.forms import HForm, basis_size, hf_add, hf_eval, hf_mul, hf_zero, monomials
-from jumplines.geom import dual_line_basis, plane_points, random_config
-from jumplines.jumping import rank_drops
+from jumplines.geom import PlaneCoords, PointConfig, dual_line_basis, flat_coords, plane_points, random_config
+from jumplines.jumping import jumping_scan, rank_drops
 from jumplines.kernels import (
     BACKEND,
     COMPILED_P_LIMIT,
@@ -286,9 +286,10 @@ def test_eval_form_many_matches_pointwise():
 
 
 def _scan_pairs(impl, a, rows, cols, pts, p):
-    """splitting_scan's degree pair at each of the points, in order."""
-    out = [int(v) for v in impl.splitting_scan(*a, rows, cols, [c for pt in pts for c in pt], p)]
-    return [tuple(out[2 * i : 2 * i + 2]) for i in range(len(pts))]
+    """splitting_scan's degree pair at each of the points, in order: its
+    splitting type less the twist 1."""
+    eps1, eps2 = impl.splitting_scan(*a, rows, cols, [c for pt in pts for c in pt], p)
+    return [(e1 - 1, e2 - 1) for e1, e2 in zip(eps1, eps2)]
 
 
 def _pointwise_pair(impl, a, rows, cols, x, p):
@@ -366,10 +367,10 @@ def test_splitting_scan_backend_parity_near_the_compiled_limit(m):
     pts = [(rng.randrange(p), rng.randrange(p), 1) for _ in range(290)] + list(cfg.points)
     flat = [c for pt in pts for c in pt]
     a = [[int(v) for v in mat.entries] for mat in sp.matrices()]
-    outs = [[int(v) for v in impl.splitting_scan(*a, m - 3, m - 1, flat, p)] for impl in IMPLS.values()]
+    outs = [impl.splitting_scan(*a, m - 3, m - 1, flat, p) for impl in IMPLS.values()]
     assert all(o == outs[0] for o in outs)
     # the configuration points jump, so the staircase runs past its generic levels there
-    assert all(outs[0][2 * i] + 1 < generic_eps1(m) for i in range(290, len(pts)))
+    assert all(outs[0][0][i] < generic_eps1(m) for i in range(290, len(pts)))
 
 
 def test_kernels_reject_malformed_input():
@@ -391,7 +392,7 @@ def test_kernels_reject_malformed_input():
 
 def test_kernels_reject_a_composite_modulus():
     # every inverse in the kernels assumes a prime modulus
-    a, exps, pt = [1] * 6, [0, 0, 1], [0, 0, 1]
+    a, exps, pt, plane = [1] * 6, [0, 0, 1], [0, 0, 1], PlaneCoords(15, 0, 3)
     for impl in IMPLS.values():
         col = array("i", [0] * (15 * 15 + 15 + 1))
         calls = (
@@ -401,6 +402,9 @@ def test_kernels_reject_a_composite_modulus():
             lambda: impl.splitting_scan(a, a, a, 2, 3, pt, 15),
             lambda: impl.eval_form_many([1], exps, pt, 15),
             lambda: impl.form_matrix_scan([1], exps, 1, 1, pt, 15),
+            lambda: impl.splitting_scan(a, a, a, 2, 3, plane, 15),
+            lambda: impl.eval_form_many([1], exps, plane, 15),
+            lambda: impl.form_matrix_scan([1], exps, 1, 1, plane, 15),
         )
         for call in calls:
             with pytest.raises(ValueError, match="prime modulus"):
@@ -422,15 +426,8 @@ def _report_oracle(p, eps1, eps2, top, zrows, grows, csv):
     return text[len('{\n  "records": [\n') : -len("\n  ]\n}")]
 
 
-def _assert_same_text(got, want):
-    # pytest's diff of two long strings takes minutes: show the first difference
-    if got != want:
-        i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
-        pytest.fail(f"texts differ at {i}: {got[i - 40 : i + 40]!r} != {want[i - 40 : i + 40]!r}")
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 31, 101])
-def test_report_rows_backend_parity(p):
+def test_report_rows_backend_parity(p, assert_same_text):
     # multi-digit and negative splitting types, the int extremes among them,
     # and the Z and Gamma lists empty, full, and unsorted with repeats
     n = p * p + p + 1
@@ -445,7 +442,7 @@ def test_report_rows_backend_parity(p):
             for csv in (False, True):
                 want = _report_oracle(p, eps1, eps2, top, zrows, grows, csv)
                 for impl in IMPLS.values():
-                    _assert_same_text(impl.report_rows(p, eps1, eps2, top, zrows, grows, csv), want)
+                    assert_same_text(impl.report_rows(p, eps1, eps2, top, zrows, grows, csv), want)
 
 
 def test_report_rows_rejects_malformed_input():
@@ -504,14 +501,15 @@ def test_form_matrix_scan_matches_generic_linalg(p):
         naffine = p - 2 if trial % 3 == 0 and p <= 101 else 6
         pts = [(rng.randrange(p), rng.randrange(p), 1) for _ in range(naffine)] + [(1, 0, 0), (rng.randrange(p), 1, 0)]
         flat = [c for pt in pts for c in pt]
-        outs = [[int(v) for v in impl.form_matrix_scan(coeffs, exps, rows, cols, flat, p)] for impl in impls]
-        assert form_matrix_scan(coeffs, exps, rows, cols, flat, p) == outs[0]
+        outs = [tuple(map(list, impl.form_matrix_scan(coeffs, exps, rows, cols, flat, p))) for impl in impls]
+        assert tuple(map(list, form_matrix_scan(coeffs, exps, rows, cols, flat, p))) == outs[0]
         assert all(o == outs[0] for o in outs)
+        ranks, dets = outs[0]
         for i, pt in enumerate(pts):
             m = Mat(rows, cols, tuple(hf_eval(field, f, pt) for row in a for f in row))
             r = rank(field, m) if rows and cols else 0
             full_square = rows == cols and r == rows
-            assert outs[0][2 * i : 2 * i + 2] == [r, det(field, m) if full_square else 0]
+            assert (ranks[i], dets[i]) == (r, det(field, m) if full_square else 0)
 
 
 def test_kernels_sum_products_near_the_compiled_limit():
@@ -527,8 +525,8 @@ def test_kernels_sum_products_near_the_compiled_limit():
     want = [hf_eval(field, f, pt) for pt in pts]
     for impl in IMPLS.values():
         assert [int(v) for v in impl.eval_form_many(list(f.coeffs), exps, flat, p)] == want
-        out = [int(v) for v in impl.form_matrix_scan(list(f.coeffs), exps, 1, 1, flat, p)]
-        assert out[1::2] == want and out[0::2] == [int(v != 0) for v in want]
+        ranks, dets = impl.form_matrix_scan(list(f.coeffs), exps, 1, 1, flat, p)
+        assert list(dets) == want and list(ranks) == [int(v != 0) for v in want]
 
 
 def test_form_matrix_scan_rejects_malformed_input():
@@ -562,10 +560,158 @@ def test_selected_backend_exports():
     assert [int(v) for v in vals] == [1, 1]
     # [[x, y], [z, x]] at (1, 2, 3), (2, 4, 6) and (0, 2, 3), the last after
     # a row swap: determinant x^2 - yz
-    out = form_matrix_scan([1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1], 2, 2,
-                           [1, 2, 3, 2, 4, 6, 0, 2, 3], 101)
-    assert [int(v) for v in out] == [2, 96, 2, 81, 2, 95]
+    ranks, dets = form_matrix_scan([1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1], 2, 2,
+                                   [1, 2, 3, 2, 4, 6, 0, 2, 3], 101)
+    assert (ranks, dets) == (array("i", [2, 2, 2]), array("i", [96, 81, 95]))
     # the plane over F_2: (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 1, 0), (1, 1, 0), (1, 0, 0)
     eps = array("i", range(7))
     rows = report_rows(2, eps, eps, 3, [6], [0, 2], True)
     assert rows.splitlines()[::3] == ["0,0,1,0,0,3,0,1", "1,1,1,3,3,0,0,0", "1,0,0,6,6,-3,1,0"]
+
+
+# ---------------------------------------------------------------------------
+# The plane form: scans over a range of rows of the plane
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_plane_coords_is_the_flat_plane(p):
+    n = p * p + p + 1
+    flat = flat_coords(plane_points(p))
+    whole = PlaneCoords.whole(p)
+    assert whole == PlaneCoords(p, 0, n) and len(whole) == len(flat) == 3 * n
+    assert list(whole) == flat
+    assert [whole[k] for k in range(-len(flat), len(flat))] == flat + flat
+    for k in (len(flat), -len(flat) - 1):
+        with pytest.raises(IndexError):
+            whole[k]
+    for lo in range(0, len(flat) + 1):
+        for hi in range(lo, len(flat) + 1):
+            part = whole[lo:hi]
+            assert list(part) == flat[lo:hi]
+            assert isinstance(part, PlaneCoords) == (lo % 3 == 0 and hi % 3 == 0)
+    assert whole[3:12] == PlaneCoords(p, 1, 4)
+    assert whole[6:3] == PlaneCoords(p, 2, 2)
+    assert whole[::2] == flat[::2] and whole[::-3] == flat[::-3]
+    assert whole[-6:] == PlaneCoords(p, n - 2, n) and whole[3:-3] == PlaneCoords(p, 1, n - 1)
+    for start, stop in ((-1, 2), (0, n + 1), (3, 2)):
+        with pytest.raises(ValueError, match="not within the plane"):
+            PlaneCoords(p, start, stop)
+
+
+def _plane_ranges(p):
+    """(start, stop) row ranges of the plane over F_p: the whole plane,
+    ranges starting mid-row, inside the line at infinity, the last point
+    alone, and empty."""
+    pp, n = p * p, p * p + p + 1
+    return [(0, n), (1, n), (p + 1, 2 * p + 1), (pp - 1, n), (pp + 1, pp + p), (pp, pp + 1), (n - 1, n),
+            (0, 0), (p + 1, p + 1), (n, n)]
+
+
+def _outcome(call):
+    """The columns a kernel call returns, as lists, or its exception."""
+    try:
+        out = call()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    for col in (out if isinstance(out, tuple) else (out,)):
+        assert isinstance(col, array) and col.typecode == "i"
+    return tuple(map(list, out)) if isinstance(out, tuple) else list(out)
+
+
+def _scan_calls(p):
+    """name -> call(impl, pts) of each scan kernel over F_p, on inputs that
+    exercise it: a pencil whose restrictions all have full rank, a random
+    one, one that vanishes on the dual line of (1, 1, 1), the row p + 1, so
+    that a range through that row must fail as the list does, Steiner
+    pencils over F_31, and random forms and matrices of forms."""
+    rng = random.Random(p)
+    pencils = [(1, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+               (2, 4, [[rng.randrange(p) for _ in range(8)] for _ in range(3)]),
+               (1, 3, [[1, 2, 3]] * 3)]
+    if p == 31:
+        for m in (8, 9):
+            sp = steiner_pencil(random_config(m, prime_field(p), seed=5))
+            pencils.append((m - 3, m - 1, [[int(v) for v in mat.entries] for mat in sp.matrices()]))
+    calls = {}
+    for k, (rows, cols, a) in enumerate(pencils):
+        calls[f"splitting_scan {k}"] = lambda impl, pts, rows=rows, cols=cols, a=a: impl.splitting_scan(
+            *a, rows, cols, pts, p)
+    for d in (0, 3):
+        f = [rng.randrange(p) for _ in range(basis_size(d))]
+        exps = [v for e in monomials(d) for v in e]
+        calls[f"eval_form_many {d}"] = lambda impl, pts, f=f, exps=exps: impl.eval_form_many(f, exps, pts, p)
+    for rows, cols in ((2, 2), (2, 3)):
+        forms = _random_forms(rng, rows, cols, 2, p)
+        coeffs = [c for row in forms for g in row for c in g.coeffs]
+        exps = [v for e in monomials(2) for v in e]
+        calls[f"form_matrix_scan {rows}x{cols}"] = lambda impl, pts, coeffs=coeffs, exps=exps, rows=rows, cols=cols: (
+            impl.form_matrix_scan(coeffs, exps, rows, cols, pts, p))
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_plane_ranges_match_explicit_lists(p):
+    # each backend's scan of a range of rows equals its scan of the same
+    # points as a flat list, and the two backends agree
+    pts = plane_points(p)
+    for name, call in _scan_calls(p).items():
+        for start, stop in _plane_ranges(p):
+            flat = flat_coords(pts[start:stop])
+            outs = []
+            for impl in IMPLS.values():
+                got = _outcome(lambda: call(impl, PlaneCoords(p, start, stop)))
+                assert got == _outcome(lambda: call(impl, flat)), (name, start, stop, impl.BACKEND)
+                outs.append(got)
+            assert all(o == outs[0] for o in outs), (name, start, stop)
+
+
+def _unchecked_range(p, start, stop):
+    """A PlaneCoords that skips the constructor's checks, as a caller that
+    builds one by hand could hand to a kernel."""
+    rng = object.__new__(PlaneCoords)
+    for name, value in (("p", p), ("start", start), ("stop", stop)):
+        object.__setattr__(rng, name, value)
+    return rng
+
+
+def test_kernels_reject_malformed_plane_ranges():
+    p, n = 5, 31
+    calls = _scan_calls(p)
+    for impl in IMPLS.values():
+        for start, stop, error in ((-1, 3, "within"), (0, n + 1, "within"), (4, 3, "within"), (-5, -2, "within")):
+            for name, call in calls.items():
+                with pytest.raises(ValueError, match=error):
+                    call(impl, _unchecked_range(p, start, stop))
+        for other in (PlaneCoords(7, 0, 3), PlaneCoords(3, 0, 13), PlaneCoords(2, 0, 0)):
+            for name, call in calls.items():
+                with pytest.raises(ValueError, match="plane range over F_"):
+                    call(impl, other)
+
+
+def test_rows_below_backend_parity():
+    rng = random.Random(4)
+    for n in (0, 1, 7, 500):
+        col = array("i", [rng.choice((INT_MIN, INT_MAX, 0, 1, 2, 3, -3)) for _ in range(n)])
+        for bound in (INT_MIN, -3, 0, 1, 3, INT_MAX, 2**40, -(2**40)):
+            want = [i for i, v in enumerate(col) if v < bound]
+            for impl in IMPLS.values():
+                assert impl.rows_below(col, bound) == want
+    for impl in IMPLS.values():
+        for bad in (array("q", [1]), array("h", [1]), array("I", [1])):
+            with pytest.raises(ValueError, match="array"):
+                impl.rows_below(bad, 1)
+        with pytest.raises(TypeError):
+            impl.rows_below([1, 2], 1)
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_jumping_scan_columns_do_not_depend_on_threads(m):
+    # 2 or 3 threads cut the 993 rows of the F_31 plane into ranges that
+    # start mid-row, where the splitting kernel builds its shared member anew
+    cfg = random_config(m, prime_field(31), seed=3)
+    reports = [jumping_scan(cfg, threads=t) for t in (1, 2, 3)]
+    assert reports[0].all_verdicts_true()
+    for rep in reports[1:]:
+        assert (rep.eps1, rep.eps2) == (reports[0].eps1, reports[0].eps2)
+        assert rep.to_json() == reports[0].to_json()
