@@ -9,6 +9,7 @@ matrices built here are bit-for-bit reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -300,13 +301,14 @@ def _form_det_direct(field: FieldSpec, a) -> HForm:
     return minors[tuple(range(n))]
 
 
-def scan_form_matrix(field: FieldSpec, a, flat):
+def scan_form_matrix(field: FieldSpec, a, flat, threads: int = 1):
     """Rank and determinant mod p of the matrix of forms a at many points.
 
     One kernel call for the points given as one flat list of coordinates
-    or as a `geom.PlaneCoords` range of plane rows; returns the kernel's
-    columns (ranks, determinants), with the determinant 0 unless a is
-    square and of full rank.  The entries must share one degree.
+    or as a `geom.PlaneCoords` range of plane rows, or one per chunk of
+    them on `threads` threads (`kernels.scan_in_chunks`); returns the
+    kernel's columns (ranks, determinants), with the determinant 0 unless a
+    is square and of full rank.  The entries must share one degree.
     """
     if field.kind != "fp":
         raise ValueError("batch evaluation needs a prime field")
@@ -315,7 +317,21 @@ def scan_form_matrix(field: FieldSpec, a, flat):
         raise ValueError(f"entries of a matrix of forms must share one degree, got {sorted(degrees)}")
     exps = [v for e in monomials(degrees.pop()) for v in e]
     coeffs = [int(c) for row in a for f in row for c in f.coeffs]
-    return kernels.form_matrix_scan(coeffs, exps, len(a), len(a[0]), flat, field.p)
+
+    def run(chunk):
+        return kernels.form_matrix_scan(coeffs, exps, len(a), len(a[0]), chunk, field.p)
+
+    return kernels.scan_in_chunks(run, flat, threads)
+
+
+def require_interpolation_grid(field: FieldSpec, what: str, degree: int) -> None:
+    """Interpolating a `what` of this degree takes degree + 1 distinct values:
+    raise `DegenerateInputError` for a prime field with p <= degree."""
+    p = field.characteristic()
+    if 0 < p <= degree:
+        raise DegenerateInputError(
+            f"field {field.tag} too small to interpolate a {what} of degree {degree} (needs p > {degree})"
+        )
 
 
 def _form_det_interpolated(field: FieldSpec, a, total_deg: int) -> HForm:
@@ -326,11 +342,7 @@ def _form_det_interpolated(field: FieldSpec, a, total_deg: int) -> HForm:
     dehomogenization and lifts it back to a form of the known total degree.
     """
     D = total_deg
-    p = field.characteristic()
-    if 0 < p <= D:
-        raise DegenerateInputError(
-            f"field {field.tag} too small to interpolate a determinant of degree {D} (needs p > {D})"
-        )
+    require_interpolation_grid(field, "determinant", D)
     svals = [field.of(i) for i in range(D + 1)]
     tvals = [field.of(i) for i in range(D + 1)]
     grid = [(field.one, s, t) for s in svals for t in tvals]
@@ -394,6 +406,120 @@ def monoidal_det(cfg: PointConfig) -> HForm:
     """Determinant of `monoidal_matrix`: the monoidal curve, of degree n(n-1)."""
     n = (len(cfg) - 1) // 2
     return form_matrix_det(cfg.field, monoidal_matrix(cfg), n * (n - 1))
+
+
+@dataclass(frozen=True)
+class MonoidalFamily:
+    """The monoidal matrices of the augmented configurations Z + x of an
+    even configuration Z of 2n points, all from one degree-n system.
+
+    `system` is the degree-n system through Z, of dimension
+    binom(n+2, 2) - 2n, `jets` its symbolic order-(n-2) partials (rows:
+    multi-indices, columns: basis members) and `lines` the line through each
+    pair of points of Z, as a coefficient triple.  The curves through Z + x
+    are the members whose values at x combine to zero, so `matrix(x)` is
+    `monoidal_matrix(Z + x)` times an invertible change of column
+    basis: the two drop rank at the same points.  Build it with
+    `monoidal_family`, which checks Z.
+    """
+
+    config: PointConfig
+    system: LinearSystem
+    jets: tuple
+    lines: tuple
+
+    def values(self, x: Point) -> list:
+        """The values of the system's basis at x."""
+        field = self.config.field
+        ev = evaluation_rows(field, (x,), self.system.degree)[0]
+        return [_dot(field, f.coeffs, ev) for f in self.system.basis]
+
+    def reject(self, x: Point) -> str | None:
+        """Why Z + x fails `geom.validate_config` in degree n, or None.
+
+        Z passed it when the family was built, so only x can fail: by
+        lying on Z, on the line through two of its points, or on every
+        curve of the system (then x imposes no new condition).  For such a
+        Z the last case implies the second, since at most 2n + 1 points
+        fail to impose independent conditions on degree-n curves only when
+        n + 2 of them are collinear; it stays as the guard of `matrix`'s
+        pivot.
+        """
+        field = self.config.field
+        if x in self.config:
+            return f"{x} is a point of the configuration"
+        if any(field.is_zero(_dot(field, line, x)) for line in self.lines):
+            return f"{x} is collinear with two points of the configuration"
+        if all(field.is_zero(v) for v in self.values(x)):
+            return f"{x} imposes no condition on degree-{self.system.degree} curves through the configuration"
+        return None
+
+    def matrix(self, x: Point) -> list:
+        """The jets times a kernel basis C of the row v of values at x.
+
+        With k the first index where v_k != 0, column j != k of C is
+        e_j - (v_j / v_k) e_k: a basis of the degree-n curves through Z + x.
+        """
+        why = self.reject(x)
+        if why is not None:
+            raise DegenerateInputError(why)
+        field = self.config.field
+        v = self.values(x)
+        k = next(j for j, c in enumerate(v) if not field.is_zero(c))
+        ratios = [(j, field.div(c, v[k])) for j, c in enumerate(v) if j != k]
+        sub, mul = field.sub, field.mul
+        out = []
+        for row in self.jets:
+            pivot = row[k].coeffs
+            out.append([HForm(row[j].degree, tuple(sub(a, mul(r, b)) for a, b in zip(row[j].coeffs, pivot)))
+                        for j, r in ratios])
+        return out
+
+    def jet_values(self, x: Point) -> Mat:
+        """The jets evaluated at x: `jet_matrix(system, x, n - 2)`."""
+        field = self.config.field
+        if 0 < field.characteristic() <= self.system.degree:
+            raise ValueError("jet reduction needs characteristic 0 or p > degree")
+        return Mat.from_rows([[hf_eval(field, f, x) for f in row] for row in self.jets])
+
+
+def _dot(field: FieldSpec, a, b):
+    """sum(a_i * b_i) in the field: the exact sum of the products, reduced once."""
+    return field.of(sum(map(operator.mul, a, b)))
+
+
+def monoidal_family(cfg: PointConfig) -> MonoidalFamily:
+    """The augmented-monoidal family of an even configuration of >= 4 points.
+
+    Raises `DegenerateInputError` when Z has a collinear triple or fails to
+    impose independent conditions on degree-n curves.
+    """
+    field = cfg.field
+    m = len(cfg)
+    if m % 2 or m < 4:
+        raise DegenerateInputError("augmented monoidal curves need an even configuration of >= 4 points")
+    n = m // 2
+    pts = cfg.points
+    if len(set(pts)) != m:
+        raise DegenerateInputError("configuration has repeated points")
+    lines = []
+    for i, j in itertools.combinations(range(m), 2):
+        a, b = pts[i], pts[j]
+        line = tuple(
+            field.sub(field.mul(a[u], b[w]), field.mul(a[w], b[u])) for u, w in ((1, 2), (2, 0), (0, 1))
+        )
+        for k in range(j + 1, m):
+            if field.is_zero(_dot(field, line, pts[k])):
+                raise DegenerateInputError(f"points {i},{j},{k} are collinear")
+        lines.append(line)
+    system = curves_through(cfg, n)
+    want = binomial(n + 2, 2) - m
+    if system.dim() != want:
+        raise DegenerateInputError(
+            f"expected a {want}-dimensional degree-{n} system, got {system.dim()} (degenerate configuration)"
+        )
+    jets = tuple(map(tuple, _symbolic_jet_rows(field, system, n - 2)))
+    return MonoidalFamily(cfg, system, jets, tuple(lines))
 
 
 def gamma_minor_matrix(cfg: PointConfig):
@@ -482,9 +608,7 @@ def sylvester_resultant(field: FieldSpec, f: HForm, g: HForm, axis: int) -> HFor
             f"leading coefficient in axis {axis} vanishes; change coordinates"
         )
     D = df * dg
-    p = field.characteristic()
-    if 0 < p <= D:
-        raise ValueError(f"resultant interpolation needs p > {D}")
+    require_interpolation_grid(field, "resultant", D)
     ts = [field.of(i) for i in range(D + 1)]
     vals = []
     size = df + dg

@@ -44,13 +44,18 @@ def chern_inverse(a: ChernPoly) -> ChernPoly:
 
 
 def chern_pow(a: ChernPoly, e: int) -> ChernPoly:
+    """a^e by repeated squaring (a^-e is the inverse's power)."""
     out = ChernPoly.of(1)
     base = a
     if e < 0:
         base = chern_inverse(a)
         e = -e
-    for _ in range(e):
-        out = chern_mul(out, base)
+    while e:
+        if e & 1:
+            out = chern_mul(out, base)
+        e >>= 1
+        if e:
+            base = chern_mul(base, base)
     return out
 
 

@@ -32,6 +32,7 @@ from .algebra import (
 )
 from .forms import (
     HForm,
+    MonoidalFamily,
     _axis_coefficients,
     _eval_binary,
     _symbolic_jet_rows,
@@ -45,10 +46,10 @@ from .forms import (
     hf_partial,
     hf_partial_multi,
     hf_sub,
-    jet_matrix,
     monomials,
     monoidal_det,
-    monoidal_matrix,
+    monoidal_family,
+    require_interpolation_grid,
     scan_form_matrix,
     sylvester_resultant,
     binary_form_to_upoly,
@@ -62,7 +63,6 @@ from .geom import (
     plane_index,
     plane_point,
     plane_points,
-    validate_config,
 )
 from .intersect import length_accounting
 from .steiner import generic_eps1, splitting_columns, steiner_pencil
@@ -87,7 +87,7 @@ def eval_form_on_points(field: FieldSpec, f: HForm, flat):
     return kernels.eval_form_many(coeffs, exps, flat, field.p)
 
 
-def rank_drops(field: FieldSpec, rows, flat) -> list:
+def rank_drops(field: FieldSpec, rows, flat, threads: int = 1) -> list:
     """Positions, ascending, of the points where the matrix of forms `rows`
     loses column rank.
 
@@ -96,10 +96,10 @@ def rank_drops(field: FieldSpec, rows, flat) -> list:
     counted from the range's first row.  The fat-point test: with a
     system's order-k partials as rows and its members as columns, the rank
     drops at x iff some member has all order-k partials zero at x.  One
-    kernel call evaluates and ranks at every point; the entries must share
-    one degree.
+    kernel call, or one per thread's chunk of the points, evaluates and
+    ranks at every point; the entries must share one degree.
     """
-    ranks, _ = scan_form_matrix(field, rows, flat)
+    ranks, _ = scan_form_matrix(field, rows, flat, threads)
     return kernels.rows_below(ranks, len(rows[0]))
 
 
@@ -108,14 +108,14 @@ def rank_drops(field: FieldSpec, rows, flat) -> list:
 # ---------------------------------------------------------------------------
 
 
-def gamma_scan(cfg: PointConfig):
+def gamma_scan(cfg: PointConfig, threads: int = 1):
     """(gamma points, configuration points hitting the fat-point condition).
 
     Gamma is the set of plane points outside the configuration where the
     symbolic jet matrix drops rank, i.e. where some degree-(n-1) curve
     through the 2n points is (n-2)-fold singular.  The second list must be
     empty for the disjoint-union statement to hold.  One kernel call scans
-    every row of the plane.
+    every row of the plane, or one per range of rows on `threads` threads.
     """
     field = cfg.field
     if field.kind != "fp":
@@ -128,7 +128,7 @@ def gamma_scan(cfg: PointConfig):
         return [], []
     p = field.p
     zrows = set(_rows_of(p, cfg.points))
-    drops = rank_drops(field, gamma_minor_matrix(cfg), PlaneCoords.whole(p))
+    drops = rank_drops(field, gamma_minor_matrix(cfg), PlaneCoords.whole(p), threads)
     gamma = [plane_point(p, i) for i in drops if i not in zrows]
     zhits = [plane_point(p, i) for i in drops if i in zrows]
     return sorted(gamma), zhits
@@ -279,7 +279,7 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
     counts: dict = {"m": m, "n": n, "p": p, "plane_points": plane.stop}
 
     if even:
-        gamma, zhits = gamma_scan(cfg) if n > 3 else ([], [])
+        gamma, zhits = gamma_scan(cfg, threads) if n > 3 else ([], [])
         grows = _rows_of(p, gamma)
         z_order = n - 2
         bad_set = jumping ^ set(grows + (zrows if z_order >= 1 else []))
@@ -386,6 +386,8 @@ def pencil4_eliminant(cfg: PointConfig, transform_seed: int = 0) -> Pencil4Resul
     field = cfg.field
     if len(cfg) != 8:
         raise DegenerateInputError("the eliminant pipeline needs exactly 8 points")
+    # no coordinate change helps a field too small for the degree-16 resultant
+    require_interpolation_grid(field, "resultant", 16)
     rng = random.Random(f"jumplines:pencil4:{field.tag}:{transform_seed}")
     last = "no attempt"
     for attempt in range(1, _TRANSFORM_RETRIES + 1):
@@ -539,23 +541,29 @@ def ninth_point(cfg: PointConfig) -> Point:
 # ---------------------------------------------------------------------------
 
 
-def containment_monoidal(report: JumpingReport, x_extra: Point) -> bool:
-    """Does the monoidal curve of the augmented configuration contain Z and Gamma?"""
+def _family_for(cfg: PointConfig, family: MonoidalFamily | None) -> MonoidalFamily:
+    if family is None:
+        return monoidal_family(cfg)
+    if family.config != cfg:
+        raise ValueError("the monoidal family belongs to another configuration")
+    return family
+
+
+def containment_monoidal(report: JumpingReport, x_extra: Point, family: MonoidalFamily | None = None) -> bool:
+    """Does the monoidal curve of the augmented configuration contain Z and Gamma?
+
+    `family` is the configuration's `monoidal_family`, built here when not given.
+    """
     cfg = report.config
     field = cfg.field
-    m = len(cfg)
-    if m % 2:
-        raise DegenerateInputError("containment check needs an even configuration")
-    x_extra = normalize_point(field, x_extra)
-    aug = PointConfig(cfg.points + (x_extra,), field)
-    validate_config(aug, degrees=(m // 2,))
+    rows = _family_for(cfg, family).matrix(normalize_point(field, x_extra))
     marked = cfg.points + report.gamma
-    return len(rank_drops(field, monoidal_matrix(aug), flat_coords(marked))) == len(marked)
+    return len(rank_drops(field, rows, flat_coords(marked))) == len(marked)
 
 
-def _valid_extra_point(cfg: PointConfig, rng) -> Point:
+def _valid_extra_point(cfg: PointConfig, rng, family: MonoidalFamily | None = None) -> Point:
     field = cfg.field
-    n = len(cfg) // 2
+    family = _family_for(cfg, family)
     for _ in range(500):
         if field.kind == "fp":
             coords = (rng.randrange(field.p), rng.randrange(field.p), rng.randrange(field.p))
@@ -564,34 +572,27 @@ def _valid_extra_point(cfg: PointConfig, rng) -> Point:
         if not any(coords):
             continue
         x = normalize_point(field, coords)
-        if x in cfg:
-            continue
-        aug = PointConfig(cfg.points + (x,), field)
-        try:
-            validate_config(aug, degrees=(n,))
-        except DegenerateInputError:
-            continue
-        return x
+        if family.reject(x) is None:
+            return x
     raise DegenerateInputError("no valid augmenting point found")
 
 
-def base_locus_equality(report: JumpingReport, trials: int, seed: int):
+def base_locus_equality(report: JumpingReport, trials: int, seed: int, family: MonoidalFamily | None = None):
     """Intersect the zero sets of several augmented monoidal curves.
 
     Returns ``(equal, intersection)`` where ``equal`` says whether the
     intersection over all plane points equals Z union the report's Gamma
     exactly.  The first curve is ranked at every row of the plane, later
-    ones only at the points still in the intersection.
+    ones only at the points still in the intersection.  `family` is the
+    configuration's `monoidal_family`, built here when not given.
     """
     cfg = report.config
     field = cfg.field
-    if len(cfg) % 2:
-        raise DegenerateInputError("base-locus check needs an even configuration")
+    family = _family_for(cfg, family)
     rng = random.Random(f"jumplines:baselocus:{field.tag}:{seed}")
     alive = None  # the whole plane, until a curve is ranked
     for _ in range(trials):
-        x = _valid_extra_point(cfg, rng)
-        rows = monoidal_matrix(PointConfig(cfg.points + (x,), field))
+        rows = family.matrix(_valid_extra_point(cfg, rng, family))
         if alive is None:
             alive = [plane_point(field.p, i) for i in rank_drops(field, rows, PlaneCoords.whole(field.p))]
         else:
@@ -612,7 +613,7 @@ class PinceauResult:
     lines: tuple
 
 
-def pinceau_factorization(cfg: PointConfig, x: Point) -> PinceauResult:
+def pinceau_factorization(cfg: PointConfig, x: Point, family: MonoidalFamily | None = None) -> PinceauResult:
     """Split the fat-point system at an extra jumping point x.
 
     For 2n points and x in Gamma the degree-n curves through Z with an
@@ -620,6 +621,8 @@ def pinceau_factorization(cfg: PointConfig, x: Point) -> PinceauResult:
     share a degree-(n-1) factor: the curve through Z that is (n-2)-fold
     singular at x; the residual factors are lines through x.  Violations
     raise VerificationError (they would falsify the factorization statement).
+    The system and its jets come from `family`, the configuration's
+    `monoidal_family`, built here when not given.
     """
     field = cfg.field
     m = len(cfg)
@@ -627,8 +630,9 @@ def pinceau_factorization(cfg: PointConfig, x: Point) -> PinceauResult:
         raise DegenerateInputError("needs an even configuration of at least 8 points")
     n = m // 2
     x = normalize_point(field, x)
-    system = curves_through(cfg, n)
-    jm = jet_matrix(system, x, n - 2)
+    family = _family_for(cfg, family)
+    system = family.system
+    jm = family.jet_values(x)
     combos = kernel_basis(field, jm)
     if len(combos) < 2:
         raise VerificationError(f"fat-point system at {x} has dimension {len(combos)} < 2")

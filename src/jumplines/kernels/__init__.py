@@ -15,7 +15,8 @@ The scans (`splitting_scan`, `eval_form_many`, `form_matrix_scan`) take
 their points as a flat coordinate list or as a `geom.PlaneCoords` range of
 plane rows, which they enumerate themselves, and return `array('i')`
 columns; `rows_below` finds the few rows of a column that matter without a
-Python loop over the others.
+Python loop over the others.  The compiled scans release the GIL, so
+`scan_in_chunks` runs one over several threads.
 """
 
 from __future__ import annotations
@@ -60,6 +61,30 @@ def eval_form_many(coeffs, exps_flat, pts_flat, p: int):
 
 def form_matrix_scan(coeffs, exps_flat, rows: int, cols: int, pts_flat, p: int):
     return impl_for(p).form_matrix_scan(coeffs, exps_flat, rows, cols, pts_flat, p)
+
+
+def scan_in_chunks(run, pts_flat, threads: int):
+    """The pair of columns run(pts_flat) returns, computed on up to `threads` threads.
+
+    Deterministic regardless of thread count: the points are cut in order
+    into chunks of at least 64 points, each a range of rows when the points
+    are a `geom.PlaneCoords`, and the chunks' columns are concatenated in
+    order.  One thread, or fewer than 64 points, is one call of run.
+    """
+    npts = len(pts_flat) // 3
+    if threads <= 1 or npts < 64:
+        return run(pts_flat)
+    from concurrent.futures import ThreadPoolExecutor
+
+    step = 3 * max(64, (npts + threads - 1) // threads)
+    chunks = [pts_flat[i : i + step] for i in range(0, 3 * npts, step)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(run, chunks))
+    first, second = parts[0]
+    for a, b in parts[1:]:
+        first += a
+        second += b
+    return first, second
 
 
 def rows_below(col, bound: int) -> list:

@@ -11,7 +11,6 @@ restricted pencil decides whether the dual line of x is a jumping line.
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass
 
 from . import kernels
@@ -246,10 +245,8 @@ def splitting_columns(sp: SteinerPencil, pts_flat, threads: int = 1):
 
     The points are one flat list of coordinates (`flat_coords`) or a
     `geom.PlaneCoords` range of plane rows.  Two `array('i')` columns, one
-    entry per point, in the order of the points.  Deterministic regardless
-    of thread count: the points are cut in order into chunks, each a range
-    of rows when the points are, and the per-chunk columns are concatenated
-    in order.
+    entry per point, in the order of the points, the same for every thread
+    count (`kernels.scan_in_chunks`).
     """
     field = sp.config.field
     if field.kind != "fp":
@@ -258,23 +255,11 @@ def splitting_columns(sp: SteinerPencil, pts_flat, threads: int = 1):
     a1 = [int(v) for v in sp.A1.entries]
     a2 = [int(v) for v in sp.A2.entries]
     rows, cols = sp.A0.rows, sp.A0.cols
-    npts = len(pts_flat) // 3
 
     def run(chunk):
         return kernels.splitting_scan(a0, a1, a2, rows, cols, chunk, field.p)
 
-    if threads <= 1 or npts < 64:
-        return run(pts_flat)
-    from concurrent.futures import ThreadPoolExecutor
-
-    step = 3 * max(64, (npts + threads - 1) // threads)
-    chunks = [pts_flat[i : i + step] for i in range(0, 3 * npts, step)]
-    eps1, eps2 = array("i"), array("i")
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part1, part2 in pool.map(run, chunks):
-            eps1 += part1
-            eps2 += part2
-    return eps1, eps2
+    return kernels.scan_in_chunks(run, pts_flat, threads)
 
 
 def splitting_scan(sp: SteinerPencil, points, threads: int = 1):

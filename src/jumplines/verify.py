@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .algebra import DegenerateInputError, distinct_degree_profile, prime_field, up_squarefree_part
+from .forms import MonoidalFamily, monoidal_family
 from .geom import plane_index, random_config
 from .intersect import jumping_length, length_accounting, tangency_degree
 from .jumping import (
@@ -56,12 +57,16 @@ class SeedBundle:
     """Everything criterion checks need for one 8-point configuration.
 
     The report carries the configuration, the seed it was drawn from, the
-    reseed count and Gamma; every criterion reads them from there.
+    reseed count and Gamma; every criterion reads them from there.  The
+    degree-4 system through the configuration and its jets (`family`) serve
+    every augmented monoidal curve of criterion 7 and every fat-point system
+    of criterion 8.
     """
 
     seed: int  # as requested, before any reseed
     report: JumpingReport
     eliminant: Pencil4Result
+    family: MonoidalFamily
 
 
 def resolve_bundle(seed: int, p: int, threads: int = 1) -> SeedBundle:
@@ -87,7 +92,7 @@ def resolve_bundle(seed: int, p: int, threads: int = 1) -> SeedBundle:
             continue
         report.reseeds = reseeds
         report.seed = s
-        return SeedBundle(seed, report, res)
+        return SeedBundle(seed, report, res, monoidal_family(cfg))
 
 
 def _timed(fn):
@@ -223,10 +228,10 @@ def criterion_7(bundles, trials: int = 4) -> CriterionResult:
             rep = b.report
             rng = random.Random(f"jumplines:fixe:{rep.seed}")
             for _ in range(5):
-                x = _valid_extra_point(rep.config, rng)
-                if not containment_monoidal(rep, x):
+                x = _valid_extra_point(rep.config, rng, b.family)
+                if not containment_monoidal(rep, x, b.family):
                     return False, f"seed {rep.seed}: containment fails at {x}"
-            equal, alive = base_locus_equality(rep, trials=trials, seed=rep.seed)
+            equal, alive = base_locus_equality(rep, trials=trials, seed=rep.seed, family=b.family)
             if not equal:
                 return False, f"seed {rep.seed}: intersection has {len(alive)} points"
         return True, f"5 containments + exact {trials}-curve base locus per seed ({len(bundles)} seeds)"
@@ -243,7 +248,7 @@ def criterion_8(bundles) -> CriterionResult:
             rep = b.report
             for x in rep.gamma:
                 try:
-                    pinceau_factorization(rep.config, x)
+                    pinceau_factorization(rep.config, x, b.family)
                 except VerificationError as exc:
                     return False, f"seed {rep.seed} at {x}: {exc}"
                 n_checked += 1

@@ -116,6 +116,16 @@ def test_field_too_small_for_the_interpolation_grid(capsys):
         assert err.startswith("degenerate input: field " + argv[-1]) and "degree 20" in err
 
 
+@pytest.mark.parametrize("p", ["11", "13"])
+def test_field_too_small_for_the_resultant(capsys, p):
+    # the eliminant's degree-16 resultant needs 17 interpolation points
+    for argv in (("pencil4", "--count", "8", "--field", f"fp:{p}"), ("verify", "--p", p)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"degenerate input: field fp:{p} too small to interpolate a resultant of degree 16 (needs p > 16)\n"
+
+
 def test_unknown_command_exit_code(capsys):
     assert main(["definitely-not-a-command"]) == 1
     capsys.readouterr()

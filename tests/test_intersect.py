@@ -76,3 +76,14 @@ def test_chern_pow():
     assert chern_pow(a, 2) == ChernPoly.of(1, -4, 4)
     assert chern_pow(a, -1) == chern_inverse(a)
     assert chern_pow(a, 0) == ChernPoly.of(1)
+
+
+@pytest.mark.parametrize("a", [ChernPoly.of(1, -2), ChernPoly.of(Fraction(3, 2), -2, 5), ChernPoly.of(-1, 7, Fraction(-1, 3))])
+def test_chern_pow_is_repeated_multiplication(a):
+    # the squaring steps must give exactly the product of |e| factors
+    inv = chern_inverse(a)
+    for e in range(-70, 71):
+        want = ChernPoly.of(1)
+        for _ in range(abs(e)):
+            want = chern_mul(want, a if e > 0 else inv)
+        assert chern_pow(a, e) == want, e

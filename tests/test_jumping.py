@@ -17,15 +17,29 @@ from jumplines.algebra import (
 from jumplines import kernels
 from jumplines.forms import (
     HForm,
+    MonoidalFamily,
+    _symbolic_jet_rows,
     curves_through,
+    gamma_minor_matrix,
     hf_eval,
     hf_mul,
     hf_partial,
     hf_zero,
+    jet_matrix,
     monoidal_det,
+    monoidal_family,
     monoidal_matrix,
+    scan_form_matrix,
 )
-from jumplines.geom import PlaneCoords, flat_coords, normalize_point, plane_points, random_config
+from jumplines.geom import (
+    PlaneCoords,
+    PointConfig,
+    flat_coords,
+    normalize_point,
+    plane_points,
+    random_config,
+    validate_config,
+)
 from jumplines.jumping import (
     VerificationError,
     _valid_extra_point,
@@ -403,3 +417,104 @@ def test_scan_needs_prime_field():
     cfg = random_config(5, RATIONALS, seed=1)
     with pytest.raises(ValueError):
         jumping_scan(cfg)
+
+
+@pytest.mark.parametrize("backend", sorted(kernels.backends()))
+@pytest.mark.parametrize("m", [8, 10])
+def test_monoidal_family_rejects_what_validate_config_rejects(monkeypatch, backend, m):
+    # over F_31 most points lie on a line through two points of Z
+    monkeypatch.setattr(kernels, "_impl", kernels.backends()[backend])
+    field = prime_field(31)
+    cfg = random_config(m, field, seed=1)
+    family = monoidal_family(cfg)
+    kept = 0
+    for x in plane_points(31):
+        try:
+            validate_config(PointConfig(cfg.points + (x,), field), (m // 2,))
+            valid = True
+        except DegenerateInputError:
+            valid = False
+        assert (family.reject(x) is None) == valid, x
+        kept += valid
+    assert 0 < kept < 993
+
+
+def _first_of_each_zero_pattern(family, count=3):
+    """The first valid plane point for each pattern of zeros among the first
+    `count` basis values: the pivot of the column basis lands on each index."""
+    field = family.config.field
+    out = {}
+    for x in plane_points(field.p):
+        if family.reject(x) is None:
+            out.setdefault(tuple(field.is_zero(v) for v in family.values(x)[:count]), x)
+    return list(out.values())
+
+
+@pytest.mark.parametrize("backend", sorted(kernels.backends()))
+@pytest.mark.parametrize("m", [8, 10])
+def test_monoidal_family_matrix_drops_where_monoidal_matrix_does(monkeypatch, backend, m):
+    monkeypatch.setattr(kernels, "_impl", kernels.backends()[backend])
+    field = prime_field(31)
+    cfg = random_config(m, field, seed=1)
+    family = monoidal_family(cfg)
+    xs = _first_of_each_zero_pattern(family)
+    assert len(xs) >= 4  # the pivot is not always the first basis member
+    plane = PlaneCoords.whole(31)
+    drops = []
+    for x in xs:
+        want = rank_drops(field, monoidal_matrix(PointConfig(cfg.points + (x,), field)), plane)
+        assert rank_drops(field, family.matrix(x), plane) == want, x
+        drops.append(want)
+    assert len(set(map(tuple, drops))) == len(xs)  # each x gives its own curve
+
+
+def test_monoidal_family_rejects_a_point_on_every_curve():
+    # with Z checked, every such point is also collinear with two points of Z;
+    # a family over four collinear points, without its lines, shows the test alone
+    field = prime_field(31)
+    cfg = PointConfig(((0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1)), field)
+    system = curves_through(cfg, 2)
+    family = MonoidalFamily(cfg, system, _symbolic_jet_rows(field, system, 0), ())
+    assert family.values((4, 1, 1)) == [0] * system.dim()
+    assert "imposes no condition" in family.reject((4, 1, 1))
+    with pytest.raises(DegenerateInputError):
+        family.matrix((4, 1, 1))
+    assert family.reject((0, 0, 1)) is None
+
+
+def test_monoidal_family_checks_its_configuration(cfg8):
+    points = list(cfg8.points[:7])
+    points.append(normalize_point(F101, [a + b for a, b in zip(points[0], points[1])]))
+    with pytest.raises(DegenerateInputError, match="collinear"):
+        monoidal_family(PointConfig(tuple(points), F101))
+    with pytest.raises(DegenerateInputError):
+        monoidal_family(random_config(7, F101, seed=1))
+    other = monoidal_family(random_config(8, F101, seed=2))
+    with pytest.raises(ValueError, match="another configuration"):
+        containment_monoidal(jumping_scan(cfg8), (1, 2, 3), other)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pinceau_factorization_with_the_shared_jets(seed):
+    cfg = random_config(8, F101, seed=seed)
+    family = monoidal_family(cfg)
+    system = curves_through(cfg, 4)
+    gamma = gamma_points(cfg)
+    assert gamma
+    for x in gamma:
+        assert family.jet_values(x) == jet_matrix(system, x, 2)
+        assert pinceau_factorization(cfg, x, family) == pinceau_factorization(cfg, x)
+
+
+@pytest.mark.parametrize("p", [31, 101])
+@pytest.mark.parametrize("m", [8, 10])
+def test_gamma_scan_does_not_depend_on_threads(p, m):
+    field = prime_field(p)
+    cfg = random_config(m, field, seed=1)
+    rows = gamma_minor_matrix(cfg)
+    plane = PlaneCoords.whole(p)
+    # 2 and 3 threads cut the plane into ranges that start mid-row
+    columns = [scan_form_matrix(field, rows, plane, t) for t in (1, 2, 3)]
+    assert columns[1] == columns[0] and columns[2] == columns[0]
+    assert rank_drops(field, rows, plane, 3) == kernels.rows_below(columns[0][0], len(rows[0]))
+    assert gamma_scan(cfg, 3) == gamma_scan(cfg)
