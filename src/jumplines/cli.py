@@ -157,7 +157,6 @@ def build_parser() -> _Parser:
                     help="comma-separated seed list")
     ve.add_argument("--p", type=_prime, default=101)
     ve.add_argument("--threads", type=_positive, default=1)
-    ve.add_argument("--trials", type=_positive, default=4, help="curves intersected in the base-locus check")
     ve.add_argument("--out", default=None)
 
     re = sp.add_parser("render", help="SVG picture of a rational configuration")
@@ -261,7 +260,7 @@ def cmd_degrees(args) -> int:
 
 def cmd_verify(args) -> int:
     _warn_on_pure_threads(args.threads, args.p)
-    results, bundles = run_all(seeds=args.seeds, p=args.p, threads=args.threads, trials=args.trials)
+    results, bundles = run_all(seeds=args.seeds, p=args.p, threads=args.threads)
     lines = [r.line() for r in results]
     report = {
         "seeds": list(args.seeds),

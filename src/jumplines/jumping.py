@@ -7,7 +7,8 @@ with the finite set Gamma of points x admitting a degree-(n-1) curve through
 Z with an (n-2)-fold point at x (order 1); for an odd configuration of 2n+1
 points they are the zero locus of the monoidal determinant.  Everything here
 verifies those statements pointwise over a prime field, by exhaustive scans
-and by resultant elimination.
+(the ninth base point of the cubic pencil through 8 points among them) and by
+resultant elimination.
 """
 
 from __future__ import annotations
@@ -327,7 +328,7 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
 # Random coordinate changes
 # ---------------------------------------------------------------------------
 
-# coordinate changes the eliminant pipeline and the ninth point draw before giving up
+# coordinate changes the eliminant pipeline draws before giving up
 _TRANSFORM_RETRIES = 24
 
 
@@ -469,71 +470,24 @@ def _restrict_to_vertical_line(field: FieldSpec, f: HForm, tval):
 def ninth_point(cfg: PointConfig) -> Point:
     """Residual base point of the pencil of cubics through 8 general points.
 
-    Eliminates x2 from the pencil basis, strips the eight known root factors
-    from the degree-9 resultant by exact division, and back-substitutes; the
-    result is verified to be a base point.
+    Over F_p the ninth base point is rational, so one scan of the plane
+    finds it: the matrix of the two basis cubics has rank 0 exactly at the
+    base points, which must be the 8 points and one more.
     """
     field = cfg.field
+    if field.kind != "fp":
+        raise ValueError("the ninth point scan needs a prime field")
     if len(cfg) != 8:
         raise DegenerateInputError("the ninth point needs exactly 8 points")
     system = curves_through(cfg, 3)
     if system.dim() != 2:
         raise DegenerateInputError("cubics through the 8 points do not form a pencil")
-    f0_orig, f1_orig = system.basis
-    rng = random.Random(f"jumplines:ninth:{field.tag}:0")
-    last = "no attempt"
-    for _ in range(_TRANSFORM_RETRIES):
-        t, tinv = _random_transform(field, rng)
-        zt = _transform_config(cfg, t)
-        if any(field.is_zero(pt[0]) for pt in zt.points):
-            last = "a transformed point lies on x0 = 0"
-            continue
-        projs = [field.div(pt[1], pt[0]) for pt in zt.points]
-        if len(set(projs)) != 8:
-            last = "transformed projections collide"
-            continue
-        sys_t = curves_through(zt, 3)
-        f0, f1 = sys_t.basis
-        # mix the basis: the canonical kernel vectors can miss the top x2 power
-        lam = field.of(rng.randrange(1, field.p) if field.kind == "fp" else rng.randint(1, 9))
-        mu = field.of(rng.randrange(1, field.p) if field.kind == "fp" else rng.randint(1, 9))
-        if field.is_zero(field.sub(field.one, field.mul(lam, mu))):
-            continue
-        g0 = HForm(3, tuple(field.add(a, field.mul(lam, b)) for a, b in zip(f0.coeffs, f1.coeffs)))
-        g1 = HForm(3, tuple(field.add(field.mul(mu, a), b) for a, b in zip(f0.coeffs, f1.coeffs)))
-        try:
-            r9 = binary_form_to_upoly(field, sylvester_resultant(field, g0, g1, 2), 2)
-        except DegenerateInputError as exc:
-            last = str(exc)
-            continue
-        if len(r9) != 10:
-            last = f"resultant degree {len(r9) - 1}, want 9"
-            continue
-        residual = r9
-        ok = True
-        for tv in projs:
-            residual, rem = up_divrem(field, residual, [field.neg(tv), field.one])
-            if rem:
-                ok = False
-                last = "known base projections do not divide the resultant"
-                break
-        if not ok or len(residual) != 2:
-            continue
-        t9 = field.neg(field.div(residual[0], residual[1]))
-        a = _restrict_to_vertical_line(field, g0, t9)
-        b = _restrict_to_vertical_line(field, g1, t9)
-        gcd = up_gcd(field, a, b)
-        if len(gcd) != 2:
-            last = f"fiber gcd degree {len(gcd) - 1}, want 1"
-            continue
-        c = field.neg(field.div(gcd[0], gcd[1]))
-        # the transformed ninth point projects to t9 with x0 = 1
-        pt = _apply_transform(field, tinv, (field.one, t9, c))
-        if not field.is_zero(hf_eval(field, f0_orig, pt)) or not field.is_zero(hf_eval(field, f1_orig, pt)):
-            last = "back-substituted point is not a base point"
-            continue
-        return pt
-    raise DegenerateInputError(f"ninth point not found after {_TRANSFORM_RETRIES} coordinate changes ({last})")
+    f0, f1 = system.basis
+    base = rank_drops(field, [[f0], [f1]], PlaneCoords.whole(field.p))
+    extra = set(base).difference(_rows_of(field.p, cfg.points))
+    if len(base) != 9 or len(extra) != 1:
+        raise DegenerateInputError(f"the cubic pencil has {len(base)} rational base points, {len(extra)} off Z; want 9 and 1")
+    return plane_point(field.p, extra.pop())
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +519,7 @@ def _valid_extra_point(cfg: PointConfig, rng, family: MonoidalFamily | None = No
     field = cfg.field
     family = _family_for(cfg, family)
     for _ in range(500):
-        if field.kind == "fp":
-            coords = (rng.randrange(field.p), rng.randrange(field.p), rng.randrange(field.p))
-        else:
-            coords = tuple(rng.randint(-9, 9) for _ in range(3))
+        coords = (rng.randrange(field.p), rng.randrange(field.p), rng.randrange(field.p))
         if not any(coords):
             continue
         x = normalize_point(field, coords)
@@ -577,28 +528,36 @@ def _valid_extra_point(cfg: PointConfig, rng, family: MonoidalFamily | None = No
     raise DegenerateInputError("no valid augmenting point found")
 
 
-def base_locus_equality(report: JumpingReport, trials: int, seed: int, family: MonoidalFamily | None = None):
-    """Intersect the zero sets of several augmented monoidal curves.
+_BASE_LOCUS_CURVES = 16
 
-    Returns ``(equal, intersection)`` where ``equal`` says whether the
-    intersection over all plane points equals Z union the report's Gamma
-    exactly.  The first curve is ranked at every row of the plane, later
-    ones only at the points still in the intersection.  `family` is the
-    configuration's `monoidal_family`, built here when not given.
+
+def base_locus_equality(report: JumpingReport, seed: int, family: MonoidalFamily | None = None):
+    """Intersect the zero sets of augmented monoidal curves, drawn until the
+    intersection over all plane points is Z union the report's Gamma.
+
+    Returns ``(equal, intersection, curves drawn)``.  It fails once the
+    intersection misses a point of Z union Gamma, or after
+    `_BASE_LOCUS_CURVES` curves.  The first curve is ranked at every row of
+    the plane, later ones only at the points still in the intersection.
+    `family` is the configuration's `monoidal_family`, built here when not
+    given.
     """
     cfg = report.config
     field = cfg.field
     family = _family_for(cfg, family)
     rng = random.Random(f"jumplines:baselocus:{field.tag}:{seed}")
+    want = set(cfg.points + report.gamma)
     alive = None  # the whole plane, until a curve is ranked
-    for _ in range(trials):
+    for curves in range(1, _BASE_LOCUS_CURVES + 1):
         rows = family.matrix(_valid_extra_point(cfg, rng, family))
         if alive is None:
             alive = [plane_point(field.p, i) for i in rank_drops(field, rows, PlaneCoords.whole(field.p))]
         else:
             alive = [alive[i] for i in rank_drops(field, rows, flat_coords(alive))]
-    alive = set(plane_points(field.p) if alive is None else alive)
-    return alive == set(cfg.points + report.gamma), alive
+        found = set(alive)
+        if found == want or not want <= found:
+            break
+    return found == want, found, curves
 
 
 # ---------------------------------------------------------------------------

@@ -61,13 +61,16 @@ def test_usage_errors(capsys):
         ("verify", "--seeds", "1,x"),
         ("verify", "--seeds", ""),
         ("verify", "--threads", "0"),
-        ("verify", "--trials", "0"),
         ("render", "--count", "5", "--field", "q", "--grid", "0"),
     ):
         code5, out5, err5 = run(capsys, *argv)
         assert code5 == 1, argv
         assert err5.startswith(f"usage error: argument {argv[-2]}: want "), (argv, err5)
         assert out5 == "", argv
+    # the base-locus check draws curves until it is exact: there is no --trials
+    code6, out6, err6 = run(capsys, "verify", "--trials", "4")
+    assert code6 == 1 and out6 == ""
+    assert err6.startswith("usage error: unrecognized arguments: --trials 4"), err6
 
 
 def test_config_with_a_bad_field_is_a_usage_error(tmp_path, capsys):

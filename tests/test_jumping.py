@@ -8,6 +8,7 @@ from array import array
 import pytest
 
 from jumplines.algebra import (
+    RATIONALS,
     DegenerateInputError,
     distinct_degree_profile,
     prime_field,
@@ -36,11 +37,13 @@ from jumplines.geom import (
     PointConfig,
     flat_coords,
     normalize_point,
+    plane_index,
     plane_points,
     random_config,
     validate_config,
 )
 from jumplines.jumping import (
+    _BASE_LOCUS_CURVES,
     VerificationError,
     _valid_extra_point,
     base_locus_equality,
@@ -57,6 +60,7 @@ from jumplines.jumping import (
     rank_drops,
 )
 from jumplines.steiner import generic_eps1, jumping_order, steiner_pencil
+from jumplines.verify import resolve_bundle
 
 F101 = prime_field(101)
 
@@ -288,6 +292,24 @@ def test_ninth_point_properties(cfg8, gamma8):
     assert jumping_order(sp, p9) == 0
 
 
+@pytest.mark.parametrize("seed", [2, 5, 8, 9, 10])
+def test_ninth_point_over_a_small_field(seed):
+    rep = resolve_bundle(seed, 17).report
+    p9 = ninth_point(rep.config)
+    for f in curves_through(rep.config, 3).basis:
+        assert hf_eval(rep.config.field, f, p9) == 0
+    assert p9 not in rep.config
+    assert rep.order_at(plane_index(17, p9)) == 0
+
+
+def test_ninth_point_rejects_bad_input(cfg8):
+    with pytest.raises(DegenerateInputError):
+        ninth_point(random_config(7, F101, seed=1))
+    rational = PointConfig(tuple(tuple(RATIONALS.of(c) for c in pt) for pt in cfg8.points), RATIONALS)
+    with pytest.raises(ValueError, match="needs a prime field"):
+        ninth_point(rational)
+
+
 def test_containment_monoidal(report8, cfg8, report6):
     rng = random.Random("containment")
     for _ in range(3):
@@ -306,24 +328,31 @@ def test_containment_rejects_degenerate_augmentation(report8, cfg8):
 
 
 def test_base_locus_equality(report8, cfg8, gamma8, report6):
-    equal, alive = base_locus_equality(report8, trials=4, seed=0)
+    equal, alive, curves = base_locus_equality(report8, seed=0)
     assert equal
     assert alive == set(cfg8.points) | set(gamma8)
-    equal1, alive1 = base_locus_equality(report8, trials=1, seed=0)
-    # one curve is not the base locus: strictly bigger for this seed
-    assert alive1 > set(cfg8.points) | set(gamma8)
-    equal6, alive6 = base_locus_equality(report6, trials=4, seed=0)
+    # drawing stops once the locus is exact: one curve is strictly bigger for this seed
+    assert curves >= 2
+    equal6, alive6, _ = base_locus_equality(report6, seed=0)
     assert equal6 and alive6 == set(report6.config.points)
-    # no curve intersects to the whole plane
-    assert base_locus_equality(report6, trials=0, seed=0) == (False, set(plane_points(101)))
+
+
+def test_base_locus_equality_over_a_small_field():
+    # over F_31 the first four curves of seed 5 share one more rational point
+    rep = resolve_bundle(5, 31).report
+    equal, alive, curves = base_locus_equality(rep, seed=rep.seed)
+    assert equal and alive == set(rep.config.points + rep.gamma)
+    assert curves > 4
 
 
 def test_base_locus_equality_reads_the_reported_gamma(report8, gamma8):
-    # the check compares against the Gamma it is handed, not one it derives
+    # the check compares against the Gamma it is handed, not one it derives:
+    # with a point left out, every curve carries an extra point up to the cap
     short = dataclasses.replace(report8, gamma=report8.gamma[1:])
-    equal, alive = base_locus_equality(short, trials=4, seed=0)
+    equal, alive, curves = base_locus_equality(short, seed=0)
     assert not equal
     assert alive == set(report8.config.points) | set(gamma8)
+    assert curves == _BASE_LOCUS_CURVES
 
 
 def test_pinceau_factorization(cfg8, gamma8):
