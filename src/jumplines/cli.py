@@ -67,7 +67,7 @@ def _prime(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """argparse type of counts, budgets and sizes: an integer >= 1."""
+    """argparse type of counts, thread counts and sizes: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -105,7 +105,7 @@ def _load_config(args) -> PointConfig:
         validate_config(cfg)
         return cfg
     if getattr(args, "count", None):
-        return random_config(args.count, args.field, seed=args.seed, retries=args.retries)
+        return random_config(args.count, args.field, seed=args.seed)
     raise UsageError("provide --config FILE or --count/--seed/--field")
 
 
@@ -115,7 +115,6 @@ def _add_config_source(sub, with_count=True):
         sub.add_argument("--count", type=_positive, help="generate: number of points")
         sub.add_argument("--field", type=_field, default="fp:101", help="q or fp:<p> (default fp:101)")
         sub.add_argument("--seed", type=int, default=1, help="generator seed")
-        sub.add_argument("--retries", type=_positive, default=1000, help="generator retry budget")
 
 
 def build_parser() -> _Parser:
@@ -126,7 +125,6 @@ def build_parser() -> _Parser:
     g.add_argument("--count", type=_positive, required=True)
     g.add_argument("--field", type=_field, default="fp:101")
     g.add_argument("--seed", type=int, default=1)
-    g.add_argument("--retries", type=_positive, default=1000)
     g.add_argument("--out", default=None)
 
     j = sp.add_parser("jump", help="exhaustive jumping-line scan over the plane")
@@ -145,7 +143,6 @@ def build_parser() -> _Parser:
 
     p4 = sp.add_parser("pencil4", help="eliminant pipeline for an 8-point configuration")
     _add_config_source(p4)
-    p4.add_argument("--transform-seed", type=int, default=0)
     p4.add_argument("--out", default=None)
 
     de = sp.add_parser("degrees", help="intersection-theory degree table")
@@ -169,7 +166,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    cfg = random_config(args.count, args.field, seed=args.seed, retries=args.retries)
+    cfg = random_config(args.count, args.field, seed=args.seed)
     _write(args.out, cfg.to_json())
     return 0
 
@@ -220,7 +217,7 @@ def cmd_gamma(args) -> int:
 def cmd_pencil4(args) -> int:
     cfg = _load_config(args)
     f = cfg.field
-    res = pencil4_eliminant(cfg, transform_seed=args.transform_seed)
+    res = pencil4_eliminant(cfg)
     sf = up_squarefree_part(f, res.r12)
     payload = {
         "degrees": {"r16": len(res.r16) - 1, "r4": len(res.r4) - 1, "r12": len(res.r12) - 1},

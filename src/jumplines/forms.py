@@ -26,7 +26,7 @@ from .algebra import (
     up_interpolate,
     up_trim,
 )
-from .geom import PointConfig, Point, evaluation_rows, monomials
+from .geom import PointConfig, Point, evaluation_rows, monomials, validate_config
 
 
 @lru_cache(maxsize=None)
@@ -107,12 +107,13 @@ def hf_mul(field: FieldSpec, f: HForm, g: HForm) -> HForm:
     return HForm(d, tuple(out))
 
 
+def _dot(field: FieldSpec, a, b):
+    """sum(a_i * b_i) in the field: the exact sum of the products, reduced once."""
+    return field.of(sum(map(operator.mul, a, b)))
+
+
 def hf_eval(field: FieldSpec, f: HForm, x: Point):
-    acc = field.zero
-    for v, cf in zip(evaluation_rows(field, (x,), f.degree)[0], f.coeffs):
-        if not field.is_zero(cf):
-            acc = field.add(acc, field.mul(cf, v))
-    return acc
+    return _dot(field, f.coeffs, evaluation_rows(field, (x,), f.degree)[0])
 
 
 def hf_partial(field: FieldSpec, f: HForm, axis: int) -> HForm:
@@ -167,43 +168,6 @@ def hf_div_exact(field: FieldSpec, f: HForm, g: HForm) -> HForm:
     if hf_mul(field, g, h).coeffs != f.coeffs:
         raise ValueError("inexact form division")
     return h
-
-
-def hf_gcd(field: FieldSpec, f: HForm, g: HForm) -> HForm:
-    """Greatest common divisor of two nonzero forms, normalized.
-
-    Uses the Sylvester-style kernel criterion: f and g share a factor of
-    degree k iff p*f = q*g has a solution with deg p = deg g - k and
-    deg q = deg f - k; at the true gcd degree the solution is (g1, f1) with
-    f = G*f1, g = G*g1, so G = f / q.
-    """
-    if hf_is_zero(field, f) or hf_is_zero(field, g):
-        raise ZeroDivisionError("gcd with the zero form")
-    df, dg = f.degree, g.degree
-    for k in range(min(df, dg), 0, -1):
-        np_, nq = basis_size(dg - k), basis_size(df - k)
-        total = basis_size(df + dg - k)
-        cols = []
-        for e in monomials(dg - k):
-            cols.append(hf_mul(field, f, hf_from_dict(field, dg - k, {e: field.one})).coeffs)
-        for e in monomials(df - k):
-            prod = hf_mul(field, g, hf_from_dict(field, df - k, {e: field.one})).coeffs
-            cols.append(tuple(field.neg(c) for c in prod))
-        m = Mat.from_rows([[cols[j][i] for j in range(np_ + nq)] for i in range(total)])
-        ker = kernel_basis(field, m)
-        if not ker:
-            continue
-        v = ker[0]
-        q = HForm(df - k, tuple(v[np_:]))
-        if hf_is_zero(field, q):
-            continue
-        try:
-            cand = hf_div_exact(field, f, q)
-            hf_div_exact(field, g, cand)
-        except ValueError:
-            continue
-        return hf_normalize(field, cand)
-    return hf_from_dict(field, 0, {(0, 0, 0): field.one})
 
 
 # ---------------------------------------------------------------------------
@@ -483,43 +447,26 @@ class MonoidalFamily:
         return Mat.from_rows([[hf_eval(field, f, x) for f in row] for row in self.jets])
 
 
-def _dot(field: FieldSpec, a, b):
-    """sum(a_i * b_i) in the field: the exact sum of the products, reduced once."""
-    return field.of(sum(map(operator.mul, a, b)))
-
-
 def monoidal_family(cfg: PointConfig) -> MonoidalFamily:
     """The augmented-monoidal family of an even configuration of >= 4 points.
 
-    Raises `DegenerateInputError` when Z has a collinear triple or fails to
-    impose independent conditions on degree-n curves.
+    Raises `DegenerateInputError` when Z fails `geom.validate_config` in
+    degree n.
     """
     field = cfg.field
     m = len(cfg)
     if m % 2 or m < 4:
         raise DegenerateInputError("augmented monoidal curves need an even configuration of >= 4 points")
     n = m // 2
-    pts = cfg.points
-    if len(set(pts)) != m:
-        raise DegenerateInputError("configuration has repeated points")
-    lines = []
-    for i, j in itertools.combinations(range(m), 2):
-        a, b = pts[i], pts[j]
-        line = tuple(
-            field.sub(field.mul(a[u], b[w]), field.mul(a[w], b[u])) for u, w in ((1, 2), (2, 0), (0, 1))
-        )
-        for k in range(j + 1, m):
-            if field.is_zero(_dot(field, line, pts[k])):
-                raise DegenerateInputError(f"points {i},{j},{k} are collinear")
-        lines.append(line)
+    validate_config(cfg, (n,))
+    lines = tuple(
+        tuple(field.sub(field.mul(a[u], b[w]), field.mul(a[w], b[u])) for u, w in ((1, 2), (2, 0), (0, 1)))
+        for a, b in itertools.combinations(cfg.points, 2)
+    )
+    # Z imposes independent conditions in degree n: the system has dimension binom(n+2, 2) - 2n
     system = curves_through(cfg, n)
-    want = binomial(n + 2, 2) - m
-    if system.dim() != want:
-        raise DegenerateInputError(
-            f"expected a {want}-dimensional degree-{n} system, got {system.dim()} (degenerate configuration)"
-        )
     jets = tuple(map(tuple, _symbolic_jet_rows(field, system, n - 2)))
-    return MonoidalFamily(cfg, system, jets, tuple(lines))
+    return MonoidalFamily(cfg, system, jets, lines)
 
 
 def gamma_minor_matrix(cfg: PointConfig):
@@ -568,84 +515,60 @@ class LeadingCoefficientError(DegenerateInputError):
     """Eliminating variable does not reach the total degree: change coordinates."""
 
 
-def _axis_coefficients(field: FieldSpec, f: HForm, axis: int):
-    """Coefficients of f as a polynomial in x_axis; entry k is a form in the
-    other two variables of degree f.degree - k, returned as coefficient maps."""
-    others = [i for i in range(3) if i != axis]
-    out = [dict() for _ in range(f.degree + 1)]
-    for e, c in zip(monomials(f.degree), f.coeffs):
-        if field.is_zero(c):
-            continue
-        k = e[axis]
-        out[k][(e[others[0]], e[others[1]])] = c
-    return out, others
+def restrict_to_vertical_line(field: FieldSpec, f: HForm, t) -> list:
+    """f(1, t, x2) as a polynomial in x2, lowest degree first, trimmed."""
+    tpow = [field.one]
+    for _ in range(f.degree):
+        tpow.append(field.mul(tpow[-1], t))
+    out = [field.zero] * (f.degree + 1)
+    for (_, b, c), cf in zip(monomials(f.degree), f.coeffs):
+        out[c] = field.add(out[c], field.mul(cf, tpow[b]))
+    return up_trim(field, out)
 
 
-def _eval_binary(field: FieldSpec, coeffmap: dict, u, v):
-    acc = field.zero
-    for (a, b), c in coeffmap.items():
-        for x in (u,) * a + (v,) * b:
-            c = field.mul(c, x)
-        acc = field.add(acc, c)
-    return acc
+def sylvester_resultant(field: FieldSpec, f: HForm, g: HForm) -> HForm:
+    """Resultant of two forms with respect to x2.
 
-
-def sylvester_resultant(field: FieldSpec, f: HForm, g: HForm, axis: int) -> HForm:
-    """Resultant of two forms with respect to one variable.
-
-    Requires both forms to have full degree in the chosen axis (nonzero
-    scalar leading coefficient); the result is a form of degree
-    deg(f) * deg(g) in the remaining two variables, computed by evaluating
-    the Sylvester determinant along a deterministic grid and interpolating.
+    Requires both forms to have full degree in x2 (nonzero scalar leading
+    coefficient); the result is a binary form in x0, x1 of degree
+    deg(f) * deg(g), computed by evaluating the Sylvester determinant at
+    x0 = 1 along a deterministic grid of x1 and interpolating.
     """
     df, dg = f.degree, g.degree
     if df < 1 or dg < 1:
         raise ValueError("resultant needs positive degrees")
-    fc, others = _axis_coefficients(field, f, axis)
-    gc, _ = _axis_coefficients(field, g, axis)
-    if not fc[df] or not gc[dg]:
-        raise LeadingCoefficientError(
-            f"leading coefficient in axis {axis} vanishes; change coordinates"
-        )
+    # (0, 0, d) is the last monomial: the coefficient of x2^d
+    if field.is_zero(f.coeffs[-1]) or field.is_zero(g.coeffs[-1]):
+        raise LeadingCoefficientError("leading coefficient in axis 2 vanishes; change coordinates")
     D = df * dg
     require_interpolation_grid(field, "resultant", D)
     ts = [field.of(i) for i in range(D + 1)]
     vals = []
-    size = df + dg
     for t in ts:
-        frow = [_eval_binary(field, fc[df - j], field.one, t) for j in range(df + 1)]
-        grow = [_eval_binary(field, gc[dg - j], field.one, t) for j in range(dg + 1)]
+        # highest power of x2 first; full length, as the leading coefficient is nonzero
+        frow = restrict_to_vertical_line(field, f, t)[::-1]
+        grow = restrict_to_vertical_line(field, g, t)[::-1]
         rows = []
         for i in range(dg):
             rows.append([field.zero] * i + frow + [field.zero] * (dg - 1 - i))
         for i in range(df):
             rows.append([field.zero] * i + grow + [field.zero] * (df - 1 - i))
         vals.append(det(field, Mat.from_rows(rows)))
-    upoly = up_interpolate(field, ts, vals)
-    coeffs = {}
-    for k, c in enumerate(up_trim(field, upoly)):
-        if field.is_zero(c):
-            continue
-        e = [0, 0, 0]
-        e[others[0]] = D - k
-        e[others[1]] = k
-        coeffs[tuple(e)] = c
-    return hf_from_dict(field, D, coeffs)
+    upoly = up_trim(field, up_interpolate(field, ts, vals))
+    return hf_from_dict(field, D, {(D - k, k, 0): c for k, c in enumerate(upoly) if not field.is_zero(c)})
 
 
-def binary_form_to_upoly(field: FieldSpec, f: HForm, axis: int):
-    """Dehomogenize a form supported on the two variables other than axis.
+def binary_form_to_upoly(field: FieldSpec, f: HForm):
+    """Dehomogenize a form in x0, x1 at x0 = 1.
 
-    Coefficient k of the result multiplies u^(D-k) v^k where (u, v) are the
-    remaining variables in increasing index order; the form has full degree
-    iff the returned polynomial has degree D.
+    Coefficient k of the result multiplies x0^(D-k) x1^k; the form has full
+    degree iff the returned polynomial has degree D.
     """
-    others = [i for i in range(3) if i != axis]
     out = [field.zero] * (f.degree + 1)
-    for e, c in zip(monomials(f.degree), f.coeffs):
-        if field.is_zero(c):
+    for (_, b, c), cf in zip(monomials(f.degree), f.coeffs):
+        if field.is_zero(cf):
             continue
-        if e[axis] != 0:
+        if c != 0:
             raise ValueError("form involves the eliminated variable")
-        out[e[others[1]]] = c
+        out[b] = cf
     return up_trim(field, out)

@@ -178,10 +178,19 @@ class PointConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "PointConfig":
-        """Read a configuration; repeated points raise `DegenerateInputError`."""
+        """Read a configuration; repeated points raise `DegenerateInputError`,
+        malformed points and coordinates `ValueError`."""
         payload = json.loads(text)
         field = FieldSpec.from_tag(payload["field"])
-        pts = tuple(normalize_point(field, pt) for pt in payload["points"])
+        raw = payload["points"]
+        if not isinstance(raw, list) or not all(isinstance(pt, list) and len(pt) == 3 for pt in raw):
+            raise ValueError("points must be a list of coordinate triples")
+        try:
+            pts = tuple(normalize_point(field, pt) for pt in raw)
+        except ZeroDivisionError:
+            raise ValueError(f"a coordinate has a denominator that is 0 in {field.tag}") from None
+        except TypeError:
+            raise ValueError("coordinates must be integers or 'num/den' strings") from None
         if len(set(pts)) != len(pts):
             raise DegenerateInputError("configuration has repeated points")
         return cls(pts, field)
@@ -243,7 +252,11 @@ def validate_config(cfg: PointConfig, degrees=()) -> None:
             )
 
 
-def random_config(count: int, field: FieldSpec, seed: int, retries: int = 1000) -> PointConfig:
+# configurations random_config draws before it gives up
+_CONFIG_RETRIES = 1000
+
+
+def random_config(count: int, field: FieldSpec, seed: int) -> PointConfig:
     """Seeded random configuration in linear general position.
 
     Deterministic in ``(count, field, seed)``.  Rejection-resamples until no
@@ -268,7 +281,7 @@ def random_config(count: int, field: FieldSpec, seed: int, retries: int = 1000) 
             if any(c):
                 return normalize_point(field, c)
 
-    for _ in range(retries):
+    for _ in range(_CONFIG_RETRIES):
         pts: list = []
         stuck = False
         for _ in range(count):
@@ -296,5 +309,5 @@ def random_config(count: int, field: FieldSpec, seed: int, retries: int = 1000) 
             continue
         return cfg
     raise DegenerateInputError(
-        f"no general-position configuration of {count} points found in {retries} tries"
+        f"no general-position configuration of {count} points found in {_CONFIG_RETRIES} tries"
     )

@@ -29,28 +29,27 @@ from .algebra import (
     up_divrem,
     up_gcd,
     up_eval,
-    up_trim,
 )
 from .forms import (
     HForm,
     MonoidalFamily,
-    _axis_coefficients,
-    _eval_binary,
+    _dot,
     _symbolic_jet_rows,
     curves_through,
     gamma_minor_matrix,
     hf_eval,
     hf_div_exact,
-    hf_gcd,
     hf_is_zero,
     hf_mul,
+    hf_normalize,
     hf_partial,
-    hf_partial_multi,
     hf_sub,
+    jet_matrix,
     monomials,
     monoidal_det,
     monoidal_family,
     require_interpolation_grid,
+    restrict_to_vertical_line,
     scan_form_matrix,
     sylvester_resultant,
     binary_form_to_upoly,
@@ -198,18 +197,6 @@ class JumpingReport:
     def z_rows(self) -> list:
         """The rows of the configuration points, ascending."""
         return _rows_of(self.config.field.p, self.config.points)
-
-    def _flags(self, marked) -> bytes:
-        flags = bytearray(len(self.eps1))
-        for i in _rows_of(self.config.field.p, marked):
-            flags[i] = 1
-        return bytes(flags)
-
-    def in_z(self) -> bytes:
-        return self._flags(self.config.points)
-
-    def in_gamma(self) -> bytes:
-        return self._flags(self.gamma)
 
     def _formatted_rows(self, csv: bool) -> str:
         p = self.config.field.p
@@ -374,7 +361,7 @@ class Pencil4Result:
     pencil_basis: tuple  # (f0, f1) in transformed coordinates
 
 
-def pencil4_eliminant(cfg: PointConfig, transform_seed: int = 0) -> Pencil4Result:
+def pencil4_eliminant(cfg: PointConfig) -> Pencil4Result:
     """Eliminate the singular-point conditions of the cubic pencil through 8 points.
 
     With pencil basis (f0, f1) and the 2x2 minors M01, M02 of the matrix of
@@ -389,7 +376,7 @@ def pencil4_eliminant(cfg: PointConfig, transform_seed: int = 0) -> Pencil4Resul
         raise DegenerateInputError("the eliminant pipeline needs exactly 8 points")
     # no coordinate change helps a field too small for the degree-16 resultant
     require_interpolation_grid(field, "resultant", 16)
-    rng = random.Random(f"jumplines:pencil4:{field.tag}:{transform_seed}")
+    rng = random.Random(f"jumplines:pencil4:{field.tag}:0")
     last = "no attempt"
     for attempt in range(1, _TRANSFORM_RETRIES + 1):
         t, tinv = _random_transform(field, rng)
@@ -402,8 +389,8 @@ def pencil4_eliminant(cfg: PointConfig, transform_seed: int = 0) -> Pencil4Resul
         m01 = _two_by_two(field, g[0], g[1])
         m02 = _two_by_two(field, g[0], g[2])
         try:
-            r16 = binary_form_to_upoly(field, sylvester_resultant(field, m01, m02, 2), 2)
-            r4 = binary_form_to_upoly(field, sylvester_resultant(field, g[0][0], g[0][1], 2), 2)
+            r16 = binary_form_to_upoly(field, sylvester_resultant(field, m01, m02))
+            r4 = binary_form_to_upoly(field, sylvester_resultant(field, g[0][0], g[0][1]))
         except DegenerateInputError as exc:
             last = str(exc)
             continue
@@ -445,21 +432,13 @@ def lift_eliminant_roots(cfg: PointConfig, res: Pencil4Result) -> list:
     for tval in range(p):
         if up_eval(field, res.r12, field.of(tval)) != 0:
             continue
-        a = _restrict_to_vertical_line(field, m01, field.of(tval))
-        b = _restrict_to_vertical_line(field, m02, field.of(tval))
-        c = _restrict_to_vertical_line(field, m12, field.of(tval))
+        a, b, c = (restrict_to_vertical_line(field, f, tval) for f in (m01, m02, m12))
         gcd = up_gcd(field, a, b)
         for cval in range(p):
             if up_eval(field, gcd, field.of(cval)) == 0 and up_eval(field, c, field.of(cval)) == 0:
                 pt = _apply_transform(field, res.transform_inv, (field.one, field.of(tval), field.of(cval)))
                 out.add(pt)
     return sorted(out)
-
-
-def _restrict_to_vertical_line(field: FieldSpec, f: HForm, tval):
-    """f(1, t, x2) as a univariate polynomial in x2."""
-    by_power, _ = _axis_coefficients(field, f, 2)
-    return up_trim(field, [_eval_binary(field, c, field.one, tval) for c in by_power])
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +556,14 @@ def pinceau_factorization(cfg: PointConfig, x: Point, family: MonoidalFamily | N
 
     For 2n points and x in Gamma the degree-n curves through Z with an
     (n-1)-fold point at x form a system of dimension >= 2 whose members all
-    share a degree-(n-1) factor: the curve through Z that is (n-2)-fold
-    singular at x; the residual factors are lines through x.  Violations
-    raise VerificationError (they would falsify the factorization statement).
-    The system and its jets come from `family`, the configuration's
-    `monoidal_family`, built here when not given.
+    share a degree-(n-1) factor c: the one curve through Z that is
+    (n-2)-fold singular at x; the residual factors are lines through x.  c
+    is predicted as the kernel of the order-(n-3) jets of the degree-(n-1)
+    system at x, and two independent members must each be c times a line
+    through x, so c is their gcd.  Violations raise VerificationError (they
+    would falsify the factorization statement).  The degree-n system and its
+    jets come from `family`, the configuration's `monoidal_family`, built
+    here when not given.
     """
     field = cfg.field
     m = len(cfg)
@@ -590,35 +572,32 @@ def pinceau_factorization(cfg: PointConfig, x: Point, family: MonoidalFamily | N
     n = m // 2
     x = normalize_point(field, x)
     family = _family_for(cfg, family)
-    system = family.system
-    jm = family.jet_values(x)
-    combos = kernel_basis(field, jm)
+    combos = kernel_basis(field, family.jet_values(x))
     if len(combos) < 2:
         raise VerificationError(f"fat-point system at {x} has dimension {len(combos)} < 2")
-    members = []
-    for v in combos[:2]:
-        acc = None
-        for c, f in zip(v, system.basis):
-            term = HForm(n, tuple(field.mul(c, w) for w in f.coeffs))
-            acc = term if acc is None else HForm(n, tuple(field.add(a, b) for a, b in zip(acc.coeffs, term.coeffs)))
-        members.append(acc)
-    g0, g1 = members
-    c = hf_gcd(field, g0, g1)
-    if c.degree != n - 1:
-        raise VerificationError(f"common factor has degree {c.degree}, want {n - 1}")
-    for pt in cfg.points:
-        if not field.is_zero(hf_eval(field, c, pt)):
-            raise VerificationError(f"common factor misses the configuration point {pt}")
-    for alpha in monomials(n - 3):
-        if not field.is_zero(hf_eval(field, hf_partial_multi(field, c, alpha), x)):
-            raise VerificationError("common factor is not (n-2)-fold singular at x")
+    members = [_combine(field, v, family.system.basis) for v in combos[:2]]
+    low = curves_through(cfg, n - 1)
+    singular = kernel_basis(field, jet_matrix(low, x, n - 3))
+    if len(singular) != 1:
+        raise VerificationError(
+            f"{len(singular)} independent degree-{n - 1} curves through Z are {n - 2}-fold singular at {x}, want 1"
+        )
+    c = hf_normalize(field, _combine(field, singular[0], low.basis))
     lines = []
     for g in members:
-        line = hf_div_exact(field, g, c)
-        if line.degree != 1 or not field.is_zero(hf_eval(field, line, x)):
+        try:
+            line = hf_div_exact(field, g, c)
+        except ValueError:
+            raise VerificationError(f"the curve singular at {x} does not divide a member of its fat-point system") from None
+        if not field.is_zero(hf_eval(field, line, x)):
             raise VerificationError("residual factor is not a line through x")
         lines.append(line)
     return PinceauResult(common_factor=c, members=tuple(members), lines=tuple(lines))
+
+
+def _combine(field: FieldSpec, v, basis) -> HForm:
+    """The member sum(v_j * basis_j) of a linear system."""
+    return HForm(basis[0].degree, tuple(_dot(field, v, col) for col in zip(*(f.coeffs for f in basis))))
 
 
 # ---------------------------------------------------------------------------

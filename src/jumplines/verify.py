@@ -1,8 +1,9 @@
 """End-to-end verification suite: every structural claim at desk scale.
 
-Each criterion is a standalone function returning a result record; the CLI
-`verify` command and the acceptance tests both run the whole list.  All
-randomness is seeded, so a verdict is reproducible bit for bit.
+Each criterion is a standalone function returning (passed, detail); `run_all`
+times each one and makes its result record, and the CLI `verify` command and
+the acceptance tests both run the whole list.  All randomness is seeded, so a
+verdict is reproducible bit for bit.
 
 A degenerate draw (the claims hold for general configurations only) is not a
 failure: the seed resolver walks to the next derived seed and records the
@@ -95,219 +96,176 @@ def resolve_bundle(seed: int, p: int, threads: int = 1) -> SeedBundle:
         return SeedBundle(seed, report, res, monoidal_family(cfg))
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
-def criterion_1(bundles) -> CriterionResult:
+def criterion_1(bundles) -> tuple[bool, str]:
     """Exhaustive scan: jumping set = Z union Gamma with orders 2 / 1 / 0."""
-    def run():
-        fails = []
-        gammas = []
-        for b in bundles:
-            v = b.report.verdicts
-            need = (
-                v["jumping_set_is_z_union_gamma"]
-                and v["order_on_z_is_n_minus_2"]
-                and v["order_on_gamma_is_1"]
-                and v["gamma_disjoint_from_z"]
-            )
-            if not need:
-                fails.append((b.report.seed, b.report.witness))
-            gammas.append(len(b.report.gamma))
-        detail = f"seeds {[b.report.seed for b in bundles]} gamma sizes {gammas}"
-        if fails:
-            detail = f"witnesses {fails}"
-        return not fails, detail
-
-    (ok, detail), dt = _timed(run)
-    return CriterionResult(1, "odd-c1 theorem, exhaustive over the plane", ok, detail, dt)
+    fails = []
+    gammas = []
+    for b in bundles:
+        v = b.report.verdicts
+        need = (
+            v["jumping_set_is_z_union_gamma"]
+            and v["order_on_z_is_n_minus_2"]
+            and v["order_on_gamma_is_1"]
+            and v["gamma_disjoint_from_z"]
+        )
+        if not need:
+            fails.append((b.report.seed, b.report.witness))
+        gammas.append(len(b.report.gamma))
+    detail = f"seeds {[b.report.seed for b in bundles]} gamma sizes {gammas}"
+    if fails:
+        detail = f"witnesses {fails}"
+    return not fails, detail
 
 
-def criterion_2(bundles, p: int) -> CriterionResult:
+def criterion_2(bundles, p: int) -> tuple[bool, str]:
     """Length split 36 = 24 + 12 and the eliminant degree bookkeeping."""
     field = prime_field(p)
-
-    def run():
-        for b in bundles:
-            total, z_part, gamma_part = length_accounting(4)
-            if (total, z_part, gamma_part) != (36, 24, 12):
-                return False, f"length split {(total, z_part, gamma_part)}"
-            seed, res, gamma = b.report.seed, b.eliminant, list(b.report.gamma)
-            degs = (len(res.r16) - 1, len(res.r4) - 1, len(res.r12) - 1)
-            if degs != (16, 4, 12):
-                return False, f"seed {seed}: degrees {degs}"
-            sf = up_squarefree_part(field, res.r12)
-            if len(sf) != len(res.r12):
-                return False, f"seed {seed}: eliminant not squarefree"
-            prof = distinct_degree_profile(field, sf)
-            if sum(t for _, t in prof) != 12:
-                return False, f"seed {seed}: buckets {prof}"
-            lifted = lift_eliminant_roots(b.report.config, res)
-            if lifted != gamma:
-                return False, f"seed {seed}: lifted {lifted} != gamma {gamma}"
-        return True, f"16 = 4 + 12 with closure count 12 on all {len(bundles)} seeds"
-
-    (ok, detail), dt = _timed(run)
-    return CriterionResult(2, "eliminant pipeline and example counts", ok, detail, dt)
+    for b in bundles:
+        total, z_part, gamma_part = length_accounting(4)
+        if (total, z_part, gamma_part) != (36, 24, 12):
+            return False, f"length split {(total, z_part, gamma_part)}"
+        seed, res, gamma = b.report.seed, b.eliminant, list(b.report.gamma)
+        degs = (len(res.r16) - 1, len(res.r4) - 1, len(res.r12) - 1)
+        if degs != (16, 4, 12):
+            return False, f"seed {seed}: degrees {degs}"
+        sf = up_squarefree_part(field, res.r12)
+        if len(sf) != len(res.r12):
+            return False, f"seed {seed}: eliminant not squarefree"
+        prof = distinct_degree_profile(field, sf)
+        if sum(t for _, t in prof) != 12:
+            return False, f"seed {seed}: buckets {prof}"
+        lifted = lift_eliminant_roots(b.report.config, res)
+        if lifted != gamma:
+            return False, f"seed {seed}: lifted {lifted} != gamma {gamma}"
+    return True, f"16 = 4 + 12 with closure count 12 on all {len(bundles)} seeds"
 
 
-def criterion_3(seeds, p: int, threads: int = 1) -> CriterionResult:
+def criterion_3(seeds, p: int, threads: int = 1) -> tuple[bool, str]:
     """Even-c1 theorem: jumping set = monoidal zero locus, degree n(n-1)."""
     field = prime_field(p)
-
-    def run():
-        for seed in seeds:
-            cfg = random_config(7, field, seed=seed)
-            rep = jumping_scan(cfg, threads=threads)
-            if not rep.all_verdicts_true():
-                return False, f"seed {seed}: witness {rep.witness}"
-        return True, f"monoidal degree 6 locus matches on seeds {list(seeds)}"
-
-    (ok, detail), dt = _timed(run)
-    return CriterionResult(3, "even-c1 theorem, exhaustive over the plane", ok, detail, dt)
+    for seed in seeds:
+        cfg = random_config(7, field, seed=seed)
+        rep = jumping_scan(cfg, threads=threads)
+        if not rep.all_verdicts_true():
+            return False, f"seed {seed}: witness {rep.witness}"
+    return True, f"monoidal degree 6 locus matches on seeds {list(seeds)}"
 
 
-def criterion_4(bundles) -> CriterionResult:
+def criterion_4(bundles) -> tuple[bool, str]:
     """Pencil test and fat-point test agree at every plane point off Z."""
-    def run():
-        for b in bundles:
-            rep = b.report
-            ok, witness = lien_equivalence(rep)
-            if not ok:
-                return False, f"seed {rep.seed}: witness {witness}"
-            if any(rep.order_at(i) < 1 for i in rep.z_rows()):
-                return False, f"seed {rep.seed}: a configuration point does not jump"
-        return True, f"every plane point off Z, and all of Z jumps, {len(bundles)} seeds"
-
-    (ok, detail), dt = _timed(run)
-    return CriterionResult(4, "splitting test equivalent to fat-point test", ok, detail, dt)
+    for b in bundles:
+        rep = b.report
+        ok, witness = lien_equivalence(rep)
+        if not ok:
+            return False, f"seed {rep.seed}: witness {witness}"
+        if any(rep.order_at(i) < 1 for i in rep.z_rows()):
+            return False, f"seed {rep.seed}: a configuration point does not jump"
+    return True, f"every plane point off Z, and all of Z jumps, {len(bundles)} seeds"
 
 
-def criterion_5(p: int, threads: int = 1) -> CriterionResult:
+def criterion_5(p: int, threads: int = 1) -> tuple[bool, str]:
     """4 points: no jumping lines. 6 points: exactly Z, order 1, Gamma empty."""
     field = prime_field(p)
-
-    def run():
-        cfg4 = random_config(4, field, seed=1)
-        rep4 = jumping_scan(cfg4, threads=threads)
-        if not rep4.all_verdicts_true() or rep4.counts["jumping_points"] != 0:
-            return False, f"4 points: witness {rep4.witness}"
-        cfg6 = random_config(6, field, seed=1)
-        rep6 = jumping_scan(cfg6, threads=threads)
-        if not rep6.all_verdicts_true() or rep6.counts["jumping_points"] != 6:
-            return False, f"6 points: witness {rep6.witness}"
-        return True, "4 points: empty; 6 points: exactly Z with order 1"
-
-    (ok, detail), dt = _timed(run)
-    return CriterionResult(5, "degenerate anchors (4 and 6 points)", ok, detail, dt)
+    cfg4 = random_config(4, field, seed=1)
+    rep4 = jumping_scan(cfg4, threads=threads)
+    if not rep4.all_verdicts_true() or rep4.counts["jumping_points"] != 0:
+        return False, f"4 points: witness {rep4.witness}"
+    cfg6 = random_config(6, field, seed=1)
+    rep6 = jumping_scan(cfg6, threads=threads)
+    if not rep6.all_verdicts_true() or rep6.counts["jumping_points"] != 6:
+        return False, f"6 points: witness {rep6.witness}"
+    return True, "4 points: empty; 6 points: exactly Z with order 1"
 
 
-def criterion_6(bundles) -> CriterionResult:
+def criterion_6(bundles) -> tuple[bool, str]:
     """The ninth base point of the cubic pencil never jumps."""
-    def run():
-        pts = []
-        for b in bundles:
-            rep = b.report
-            p9 = ninth_point(rep.config)
-            if p9 in rep.config or p9 in rep.gamma or rep.order_at(plane_index(rep.config.field.p, p9)) != 0:
-                return False, f"seed {rep.seed}: ninth point {p9} misbehaves"
-            pts.append(p9)
-        return True, f"base point verified, outside Z and Gamma, order 0 ({len(pts)} seeds)"
-
-    (ok, detail), dt = _timed(run)
-    return CriterionResult(6, "ninth base point is not a jumping line", ok, detail, dt)
+    pts = []
+    for b in bundles:
+        rep = b.report
+        p9 = ninth_point(rep.config)
+        if p9 in rep.config or p9 in rep.gamma or rep.order_at(plane_index(rep.config.field.p, p9)) != 0:
+            return False, f"seed {rep.seed}: ninth point {p9} misbehaves"
+        pts.append(p9)
+    return True, f"base point verified, outside Z and Gamma, order 0 ({len(pts)} seeds)"
 
 
-def criterion_7(bundles) -> CriterionResult:
+def criterion_7(bundles) -> tuple[bool, str]:
     """Augmented monoidal curves contain Z u Gamma; a few of them cut it exactly."""
-    def run():
-        drawn = []
-        for b in bundles:
-            rep = b.report
-            rng = random.Random(f"jumplines:fixe:{rep.seed}")
-            for _ in range(5):
-                x = _valid_extra_point(rep.config, rng, b.family)
-                if not containment_monoidal(rep, x, b.family):
-                    return False, f"seed {rep.seed}: containment fails at {x}"
-            equal, alive, curves = base_locus_equality(rep, seed=rep.seed, family=b.family)
-            if not equal:
-                return False, f"seed {rep.seed}: intersection has {len(alive)} points after {curves} curves"
-            drawn.append(curves)
-        return True, f"5 containments + exact base locus from {min(drawn)}-{max(drawn)} curves per seed ({len(bundles)} seeds)"
-
-    (ok, detail), dt = _timed(run)
-    return CriterionResult(7, "fixed-point containment and base-locus equality", ok, detail, dt)
+    drawn = []
+    for b in bundles:
+        rep = b.report
+        rng = random.Random(f"jumplines:fixe:{rep.seed}")
+        for _ in range(5):
+            x = _valid_extra_point(rep.config, rng, b.family)
+            if not containment_monoidal(rep, x, b.family):
+                return False, f"seed {rep.seed}: containment fails at {x}"
+        equal, alive, curves = base_locus_equality(rep, seed=rep.seed, family=b.family)
+        if not equal:
+            return False, f"seed {rep.seed}: intersection has {len(alive)} points after {curves} curves"
+        drawn.append(curves)
+    return True, f"5 containments + exact base locus from {min(drawn)}-{max(drawn)} curves per seed ({len(bundles)} seeds)"
 
 
-def criterion_8(bundles) -> CriterionResult:
+def criterion_8(bundles) -> tuple[bool, str]:
     """Every rational Gamma point splits its fat-point system as curve + line."""
-    def run():
-        n_checked = 0
-        for b in bundles:
-            rep = b.report
-            for x in rep.gamma:
-                try:
-                    pinceau_factorization(rep.config, x, b.family)
-                except VerificationError as exc:
-                    return False, f"seed {rep.seed} at {x}: {exc}"
-                n_checked += 1
-        return True, f"factorization verified at {n_checked} rational Gamma points"
-
-    (ok, detail), dt = _timed(run)
-    return CriterionResult(8, "fat-point system factors as cubic + line", ok, detail, dt)
+    n_checked = 0
+    for b in bundles:
+        rep = b.report
+        for x in rep.gamma:
+            try:
+                pinceau_factorization(rep.config, x, b.family)
+            except VerificationError as exc:
+                return False, f"seed {rep.seed} at {x}: {exc}"
+            n_checked += 1
+    return True, f"factorization verified at {n_checked} rational Gamma points"
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> tuple[bool, str]:
     """Chern arithmetic reproduces the closed-form dimensions and degrees."""
-    def run():
-        for n in range(2, 13):
-            dim, deg = tangency_degree(n)
-            if dim != 2 * n + 2:
-                return False, f"n={n}: dim {dim}"
-        if tangency_degree(3)[1] != 12:
-            return False, "cubic discriminant degree is not 12"
-        for n in range(2, 51):
-            jumping_length(n)
-        return True, "degrees for n=2..12 (anchor 12 at n=3), length split for n=2..50"
-
-    (ok, detail), dt = _timed(run)
-    return CriterionResult(9, "intersection-theory formulas", ok, detail, dt)
+    for n in range(2, 13):
+        dim, deg = tangency_degree(n)
+        if dim != 2 * n + 2:
+            return False, f"n={n}: dim {dim}"
+    if tangency_degree(3)[1] != 12:
+        return False, "cubic discriminant degree is not 12"
+    for n in range(2, 51):
+        jumping_length(n)
+    return True, "degrees for n=2..12 (anchor 12 at n=3), length split for n=2..50"
 
 
-def criterion_10(p: int, threads: int = 1) -> CriterionResult:
+def criterion_10(p: int, threads: int = 1) -> tuple[bool, str]:
     """Byte-identical reports on repeated runs with the same seed."""
     field = prime_field(p)
-
-    def run():
-        cfg_a = random_config(6, field, seed=1)
-        cfg_b = random_config(6, field, seed=1)
-        if cfg_a.to_json() != cfg_b.to_json():
-            return False, "configuration generation is not deterministic"
-        rep_a = jumping_scan(cfg_a, threads=threads)
-        rep_b = jumping_scan(cfg_b, threads=max(2, threads))
-        if rep_a.to_json() != rep_b.to_json() or rep_a.to_csv() != rep_b.to_csv():
-            return False, "scan reports differ between runs"
-        return True, "config JSON, report JSON and CSV reproduce byte for byte"
-
-    (ok, detail), dt = _timed(run)
-    return CriterionResult(10, "determinism of reports", ok, detail, dt)
+    cfg_a = random_config(6, field, seed=1)
+    cfg_b = random_config(6, field, seed=1)
+    if cfg_a.to_json() != cfg_b.to_json():
+        return False, "configuration generation is not deterministic"
+    rep_a = jumping_scan(cfg_a, threads=threads)
+    rep_b = jumping_scan(cfg_b, threads=max(2, threads))
+    if rep_a.to_json() != rep_b.to_json() or rep_a.to_csv() != rep_b.to_csv():
+        return False, "scan reports differ between runs"
+    return True, "config JSON, report JSON and CSV reproduce byte for byte"
 
 
 def run_all(seeds=SHIPPED_SEEDS, p: int = 101, threads: int = 1):
+    """Run every criterion and time it; returns (results, bundles)."""
     bundles = [resolve_bundle(s, p, threads) for s in seeds]
-    results = [
-        criterion_1(bundles),
-        criterion_2(bundles, p),
-        criterion_3(seeds[: min(3, len(seeds))], p, threads),
-        criterion_4(bundles),
-        criterion_5(p, threads),
-        criterion_6(bundles),
-        criterion_7(bundles),
-        criterion_8(bundles),
-        criterion_9(),
-        criterion_10(p, threads),
+    # each call looks its criterion up when it runs, so a rebound name is the one timed
+    checks = [
+        ("odd-c1 theorem, exhaustive over the plane", lambda: criterion_1(bundles)),
+        ("eliminant pipeline and example counts", lambda: criterion_2(bundles, p)),
+        ("even-c1 theorem, exhaustive over the plane", lambda: criterion_3(seeds[:3], p, threads)),
+        ("splitting test equivalent to fat-point test", lambda: criterion_4(bundles)),
+        ("degenerate anchors (4 and 6 points)", lambda: criterion_5(p, threads)),
+        ("ninth base point is not a jumping line", lambda: criterion_6(bundles)),
+        ("fixed-point containment and base-locus equality", lambda: criterion_7(bundles)),
+        ("fat-point system factors as cubic + line", lambda: criterion_8(bundles)),
+        ("intersection-theory formulas", lambda: criterion_9()),
+        ("determinism of reports", lambda: criterion_10(p, threads)),
     ]
+    results = []
+    for number, (name, check) in enumerate(checks, 1):
+        t0 = time.perf_counter()
+        passed, detail = check()
+        results.append(CriterionResult(number, name, passed, detail, time.perf_counter() - t0))
     return results, bundles

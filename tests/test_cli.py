@@ -52,8 +52,6 @@ def test_usage_errors(capsys):
         ("jump", "--count", "-1"),
         ("jump", "--count", "0"),
         ("gen", "--count", "0"),
-        ("gen", "--count", "6", "--retries", "0"),
-        ("gamma", "--count", "8", "--retries", "-2"),
         ("jump", "--count", "6", "--threads", "0"),
         ("jump", "--count", "6", "--threads", "-3"),
         ("jump", "--count", "six"),
@@ -71,6 +69,10 @@ def test_usage_errors(capsys):
     code6, out6, err6 = run(capsys, "verify", "--trials", "4")
     assert code6 == 1 and out6 == ""
     assert err6.startswith("usage error: unrecognized arguments: --trials 4"), err6
+    # the generator's retry budget is fixed: there is no --retries
+    code7, out7, err7 = run(capsys, "gen", "--count", "6", "--retries", "5")
+    assert code7 == 1 and out7 == ""
+    assert err7.startswith("usage error: unrecognized arguments: --retries 5"), err7
 
 
 def test_config_with_a_bad_field_is_a_usage_error(tmp_path, capsys):
@@ -80,6 +82,24 @@ def test_config_with_a_bad_field_is_a_usage_error(tmp_path, capsys):
         code, _, err = run(capsys, command, "--config", str(cfgp))
         assert code == 1, command
         assert err == f"usage error: configuration file {cfgp}: 9 is not prime\n"
+
+
+@pytest.mark.parametrize("field, points, why", [
+    ("fp:101", [["1/101", 0, 1], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "a coordinate has a denominator that is 0 in fp:101"),
+    ("q", [[1, 0, 0], ["1/0", 1, 0], [0, 0, 1], [1, 1, 1]], "a coordinate has a denominator that is 0 in q"),
+    ("fp:101", [[1, 0, 0], [0, 1], [0, 0, 1], [1, 1, 1]], "points must be a list of coordinate triples"),
+    ("fp:101", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1, 1]], "points must be a list of coordinate triples"),
+    ("fp:101", [[1, 0, 0], [0, 1, 0], [None, 0, 1], [1, 1, 1]], "coordinates must be integers or 'num/den' strings"),
+], ids=["zero-denominator-mod-p", "zero-denominator-over-q", "two-coordinates", "four-coordinates", "null-coordinate"])
+def test_config_with_a_malformed_point_is_a_usage_error(tmp_path, capsys, field, points, why):
+    # each used to die with a ZeroDivisionError, IndexError or TypeError traceback
+    cfgp = tmp_path / "malformed.json"
+    cfgp.write_text(json.dumps({"field": field, "points": points}))
+    for command in ("monoidal", "render"):
+        code, out, err = run(capsys, command, "--config", str(cfgp))
+        assert code == 1, command
+        assert err == f"usage error: configuration file {cfgp}: {why}\n"
+        assert out == ""
 
 
 def test_config_with_a_repeated_point_is_degenerate(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jumplines import kernels
-from jumplines.algebra import DegenerateInputError, RATIONALS, prime_field, rank
+from jumplines.algebra import DegenerateInputError, RATIONALS, prime_field, rank, up_eval
 from jumplines.forms import (
     HForm,
     LeadingCoefficientError,
@@ -19,7 +19,6 @@ from jumplines.forms import (
     hf_div_exact,
     hf_eval,
     hf_from_dict,
-    hf_gcd,
     hf_is_zero,
     hf_mul,
     hf_normalize,
@@ -29,6 +28,7 @@ from jumplines.forms import (
     monoidal_det,
     monomial_index,
     monomials,
+    restrict_to_vertical_line,
     sylvester_resultant,
     _form_det_direct,
     _form_det_interpolated,
@@ -92,20 +92,6 @@ def test_mul_degree_and_exact_division():
         assert hf_div_exact(field, prod, g) == f
     with pytest.raises(ValueError):
         hf_div_exact(F101, hf_from_dict(F101, 2, {(2, 0, 0): 1}), hf_from_dict(F101, 1, {(0, 1, 0): 1}))
-
-
-def test_hform_gcd_constructed():
-    rng = random.Random(11)
-    field = F101
-    # shared quadratic times coprime linear forms
-    c = rand_form(field, rng, 2)
-    u = hf_from_dict(field, 1, {(1, 0, 0): 1, (0, 1, 0): 3})
-    v = hf_from_dict(field, 1, {(0, 1, 0): 1, (0, 0, 1): 5})
-    g = hf_gcd(field, hf_mul(field, c, u), hf_mul(field, c, v))
-    assert g == hf_normalize(field, c)
-    # coprime forms have trivial gcd
-    w = hf_gcd(field, u, v)
-    assert w.degree == 0
 
 
 def test_curves_through_dimensions():
@@ -313,8 +299,8 @@ def test_gamma_minor_matrix_shape():
 def test_sylvester_linear_example():
     f = hf_from_dict(RATIONALS, 1, {(0, 0, 1): 1, (1, 0, 0): -1})  # x2 - x0
     g = hf_from_dict(RATIONALS, 1, {(0, 0, 1): 1, (0, 1, 0): -1})  # x2 - x1
-    res = sylvester_resultant(RATIONALS, f, g, 2)
-    up = binary_form_to_upoly(RATIONALS, res, 2)
+    res = sylvester_resultant(RATIONALS, f, g)
+    up = binary_form_to_upoly(RATIONALS, res)
     # x1 - x0 up to sign: dehomogenized to t = x1/x0 that is +-(t - 1)
     assert up in ([Fraction(-1), Fraction(1)], [Fraction(1), Fraction(-1)])
 
@@ -324,12 +310,12 @@ def test_sylvester_conics_degree_four():
     while True:
         f, g = rand_form(F101, rng, 2), rand_form(F101, rng, 2)
         try:
-            res = sylvester_resultant(F101, f, g, 2)
+            res = sylvester_resultant(F101, f, g)
             break
         except LeadingCoefficientError:
             continue
     assert res.degree == 4
-    up = binary_form_to_upoly(F101, res, 2)
+    up = binary_form_to_upoly(F101, res)
     assert len(up) - 1 <= 4
 
 
@@ -348,18 +334,33 @@ def test_sylvester_vanishes_at_common_zero_projection():
         g = hf_add(F101, g, hf_scale(F101, (-gx * inv9) % 101, corr))
         assert hf_eval(F101, f, x) == 0 and hf_eval(F101, g, x) == 0
         try:
-            res = sylvester_resultant(F101, f, g, 2)
+            res = sylvester_resultant(F101, f, g)
             break
         except LeadingCoefficientError:
             continue
     assert hf_eval(F101, res, (1, 2, 0)) == 0  # projection along x2
 
 
+def test_restrict_to_vertical_line_agrees_with_eval():
+    rng = random.Random(37)
+    for field in (F101, RATIONALS):
+        for d in range(1, 6):
+            f = rand_form(field, rng, d)
+            for _ in range(5):
+                t, s = field.of(rng.randint(-50, 50)), field.of(rng.randint(-50, 50))
+                restricted = restrict_to_vertical_line(field, f, t)
+                assert up_eval(field, restricted, s) == hf_eval(field, f, (field.one, t, s))
+                assert not restricted or not field.is_zero(restricted[-1])
+    # x0 x1 - x0^2 vanishes on the line x1 = x0
+    f = hf_from_dict(F101, 2, {(1, 1, 0): 1, (2, 0, 0): -1})
+    assert restrict_to_vertical_line(F101, f, 1) == []
+
+
 def test_sylvester_leading_zero_error():
     f = hf_from_dict(F101, 2, {(2, 0, 0): 1})  # no x2 at all
     g = hf_from_dict(F101, 2, {(0, 0, 2): 1})
     with pytest.raises(LeadingCoefficientError):
-        sylvester_resultant(F101, f, g, 2)
+        sylvester_resultant(F101, f, g)
 
 
 def test_hform_json_roundtrip():

@@ -24,12 +24,13 @@ from jumplines.forms import (
     gamma_minor_matrix,
     hf_eval,
     hf_mul,
-    hf_partial,
+    hf_partial_multi,
     hf_zero,
     jet_matrix,
     monoidal_det,
     monoidal_family,
     monoidal_matrix,
+    monomials,
     scan_form_matrix,
 )
 from jumplines.geom import (
@@ -356,17 +357,34 @@ def test_base_locus_equality_reads_the_reported_gamma(report8, gamma8):
 
 
 def test_pinceau_factorization(cfg8, gamma8):
-    for x in gamma8:
-        res = pinceau_factorization(cfg8, x)
-        c = res.common_factor
-        assert c.degree == 3
-        for pt in cfg8.points:
-            assert hf_eval(F101, c, pt) == 0
-        for axis in range(3):
-            assert hf_eval(F101, hf_partial(F101, c, axis), x) == 0
-        for line, member in zip(res.lines, res.members):
-            assert line.degree == 1
-            assert hf_eval(F101, line, x) == 0
+    cfg10 = random_config(10, F101, seed=2)
+    for cfg, gamma in ((cfg8, gamma8), (cfg10, gamma_points(cfg10))):
+        n = len(cfg) // 2
+        assert gamma
+        for x in gamma:
+            res = pinceau_factorization(cfg, x)
+            c = res.common_factor
+            assert c.degree == n - 1
+            for pt in cfg.points:
+                assert hf_eval(F101, c, pt) == 0
+            # (n-2)-fold singular at x: every partial of order n-3 vanishes there
+            for alpha in monomials(n - 3):
+                assert hf_eval(F101, hf_partial_multi(F101, c, alpha), x) == 0
+            assert len(res.members) == 2
+            for line, member in zip(res.lines, res.members):
+                assert line.degree == 1
+                assert hf_eval(F101, line, x) == 0
+                assert hf_mul(F101, c, line) == member
+
+
+def test_pinceau_rejects_another_configurations_curves(cfg8, gamma8, monkeypatch):
+    # the factor is predicted from the degree-3 curves through Z; planted
+    # curves through another configuration have no member singular at x
+    family = monoidal_family(cfg8)
+    other = curves_through(random_config(8, F101, seed=2), 3)
+    monkeypatch.setattr("jumplines.jumping.curves_through", lambda cfg, d: other)
+    with pytest.raises(VerificationError, match="singular at"):
+        pinceau_factorization(cfg8, gamma8[0], family)
 
 
 def test_pinceau_rejects_non_gamma_point(cfg8, gamma8):
