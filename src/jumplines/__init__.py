@@ -9,7 +9,7 @@ exact (arbitrary-precision rationals or a prime field).
 from .algebra import DegenerateInputError, FieldSpec, Mat, RATIONALS, prime_field
 from .geom import PointConfig, normalize_point, plane_points, random_config
 from .forms import HForm, curves_through, fat_point_dim, gamma_minors, monoidal_det
-from .steiner import SplittingType, SteinerPencil, jumping_order, steiner_pencil
+from .steiner import SteinerPencil, jumping_order, steiner_pencil
 from .jumping import (
     JumpingReport,
     VerificationError,
@@ -34,7 +34,6 @@ __all__ = [
     "Mat",
     "PointConfig",
     "RATIONALS",
-    "SplittingType",
     "SteinerPencil",
     "VerificationError",
     "base_locus_equality",

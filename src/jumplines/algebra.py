@@ -134,9 +134,6 @@ class FieldSpec:
         a = Fraction(a)
         return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
-    def from_json(self, v):
-        return self.of(v)
-
 
 RATIONALS = FieldSpec("q")
 

@@ -91,7 +91,7 @@ def _seed_list(text: str) -> tuple:
 def _load_config(args) -> PointConfig:
     """The configuration of --config FILE, checked for repeated and collinear
     points, or the one generated from --count/--seed/--field."""
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             text = fh.read()
         try:
@@ -104,17 +104,16 @@ def _load_config(args) -> PointConfig:
             raise UsageError(f"configuration file {args.config}: {exc}") from None
         validate_config(cfg)
         return cfg
-    if getattr(args, "count", None):
+    if args.count:
         return random_config(args.count, args.field, seed=args.seed)
     raise UsageError("provide --config FILE or --count/--seed/--field")
 
 
-def _add_config_source(sub, with_count=True):
+def _add_config_source(sub):
     sub.add_argument("--config", help="configuration JSON file")
-    if with_count:
-        sub.add_argument("--count", type=_positive, help="generate: number of points")
-        sub.add_argument("--field", type=_field, default="fp:101", help="q or fp:<p> (default fp:101)")
-        sub.add_argument("--seed", type=int, default=1, help="generator seed")
+    sub.add_argument("--count", type=_positive, help="generate: number of points")
+    sub.add_argument("--field", type=_field, default="fp:101", help="q or fp:<p> (default fp:101)")
+    sub.add_argument("--seed", type=int, default=1, help="generator seed")
 
 
 def build_parser() -> _Parser:
@@ -153,7 +152,6 @@ def build_parser() -> _Parser:
     ve.add_argument("--seeds", type=_seed_list, default=",".join(str(s) for s in SHIPPED_SEEDS),
                     help="comma-separated seed list")
     ve.add_argument("--p", type=_prime, default=101)
-    ve.add_argument("--threads", type=_positive, default=1)
     ve.add_argument("--out", default=None)
 
     re = sp.add_parser("render", help="SVG picture of a rational configuration")
@@ -176,17 +174,12 @@ def _need_prime_field(cfg: PointConfig, command: str) -> None:
         raise UsageError(f"{command} scans every point of the plane and needs a prime field (fp:<p>)")
 
 
-def _warn_on_pure_threads(threads: int, p: int) -> None:
-    """Threads split a scan, but the pure-Python kernels hold the GIL."""
-    if threads > 1 and kernels.impl_for(p).BACKEND == "pure":
-        print(f"warning: --threads {threads} runs on the pure-Python kernels, which hold the GIL; "
-              "expect no speed-up", file=sys.stderr)
-
-
 def cmd_jump(args) -> int:
     cfg = _load_config(args)
     _need_prime_field(cfg, "jump")
-    _warn_on_pure_threads(args.threads, cfg.field.p)
+    if args.threads > 1 and kernels.impl_for(cfg.field.p).BACKEND == "pure":
+        print(f"warning: --threads {args.threads} runs on the pure-Python kernels, which hold the GIL; "
+              "expect no speed-up", file=sys.stderr)
     rep = jumping_scan(cfg, threads=args.threads)
     _write(args.out, *(rep.json_parts() if args.format == "json" else rep.csv_parts()))
     if not rep.verdicts.get("gamma_disjoint_from_z", True):
@@ -256,8 +249,7 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _warn_on_pure_threads(args.threads, args.p)
-    results, bundles = run_all(seeds=args.seeds, p=args.p, threads=args.threads)
+    results, bundles = run_all(seeds=args.seeds, p=args.p)
     lines = [r.line() for r in results]
     report = {
         "seeds": list(args.seeds),

@@ -202,8 +202,23 @@ def curves_through(cfg: PointConfig, d: int) -> LinearSystem:
     return LinearSystem(d, basis, cfg)
 
 
-def _symbolic_jet_rows(field: FieldSpec, system: LinearSystem, order: int):
-    return [[hf_partial_multi(field, f, alpha) for f in system.basis] for alpha in monomials(order)]
+def _expected_system(cfg: PointConfig, d: int, dim: int) -> LinearSystem:
+    """`curves_through(cfg, d)`; raises `DegenerateInputError` unless its dimension is dim."""
+    system = curves_through(cfg, d)
+    if system.dim() != dim:
+        raise DegenerateInputError(
+            f"expected a {dim}-dimensional system, got {system.dim()} (degenerate configuration)"
+        )
+    return system
+
+
+def _symbolic_jet_rows(field: FieldSpec, system: LinearSystem, order: int) -> tuple:
+    return tuple(tuple(hf_partial_multi(field, f, alpha) for f in system.basis) for alpha in monomials(order))
+
+
+def _jets_at(field: FieldSpec, jets, x: Point) -> Mat:
+    """A matrix of forms, such as the jet rows of `_symbolic_jet_rows`, evaluated at x."""
+    return Mat.from_rows([[hf_eval(field, f, x) for f in row] for row in jets])
 
 
 def jet_matrix(system: LinearSystem, x: Point, k: int) -> Mat:
@@ -219,8 +234,7 @@ def jet_matrix(system: LinearSystem, x: Point, k: int) -> Mat:
         raise ValueError("jet order out of range")
     if 0 < field.characteristic() <= system.degree:
         raise ValueError("jet reduction needs characteristic 0 or p > degree")
-    rows = _symbolic_jet_rows(field, system, k)
-    return Mat.from_rows([[hf_eval(field, f, x) for f in row] for row in rows])
+    return _jets_at(field, _symbolic_jet_rows(field, system, k), x)
 
 
 def fat_point_dim(cfg: PointConfig, x: Point, k: int, d: int) -> int:
@@ -234,8 +248,7 @@ def fat_point_dim(cfg: PointConfig, x: Point, k: int, d: int) -> int:
     system = curves_through(cfg, d)
     if system.dim() == 0:
         return 0
-    m = jet_matrix(system, x, k - 1)
-    return system.dim() - rank(cfg.field, m)
+    return system.dim() - rank(cfg.field, jet_matrix(system, x, k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +326,7 @@ def _form_det_interpolated(field: FieldSpec, a, total_deg: int) -> HForm:
     if field.kind == "fp":
         dets = scan_form_matrix(field, a, [c for pt in grid for c in pt])[1]
     else:
-        dets = [det(field, Mat.from_rows([[hf_eval(field, f, pt) for f in row] for row in a])) for pt in grid]
+        dets = [det(field, _jets_at(field, a, pt)) for pt in grid]
     per_s = [up_interpolate(field, tvals, dets[i * (D + 1) : (i + 1) * (D + 1)]) for i in range(D + 1)]
     coeffs = {}
     for tk in range(D + 1):
@@ -357,13 +370,7 @@ def monoidal_matrix(cfg: PointConfig):
     if m % 2 == 0 or m < 5:
         raise DegenerateInputError("monoidal determinant needs an odd configuration of >= 5 points")
     n = (m - 1) // 2
-    system = curves_through(cfg, n)
-    size = binomial(n, 2)
-    if system.dim() != size:
-        raise DegenerateInputError(
-            f"expected a {size}-dimensional system, got {system.dim()} (degenerate configuration)"
-        )
-    return _symbolic_jet_rows(cfg.field, system, n - 2)
+    return _symbolic_jet_rows(cfg.field, _expected_system(cfg, n, binomial(n, 2)), n - 2)
 
 
 def monoidal_det(cfg: PointConfig) -> HForm:
@@ -374,8 +381,9 @@ def monoidal_det(cfg: PointConfig) -> HForm:
 
 @dataclass(frozen=True)
 class MonoidalFamily:
-    """The monoidal matrices of the augmented configurations Z + x of an
-    even configuration Z of 2n points, all from one degree-n system.
+    """The fat-point systems of an even configuration Z of 2n points: the
+    monoidal matrices of the augmented configurations Z + x, all from one
+    degree-n system, and the degree-(n-1) system that cuts out Gamma.
 
     `system` is the degree-n system through Z, of dimension
     binom(n+2, 2) - 2n, `jets` its symbolic order-(n-2) partials (rows:
@@ -383,14 +391,18 @@ class MonoidalFamily:
     pair of points of Z, as a coefficient triple.  The curves through Z + x
     are the members whose values at x combine to zero, so `matrix(x)` is
     `monoidal_matrix(Z + x)` times an invertible change of column
-    basis: the two drop rank at the same points.  Build it with
-    `monoidal_family`, which checks Z.
+    basis: the two drop rank at the same points.  For n >= 4,
+    `gamma_system` is the degree-(n-1) system through Z and `gamma_jets`
+    its order-(n-3) partials, `gamma_minor_matrix(Z)`; else None and ().
+    Build it with `monoidal_family`, which checks Z.
     """
 
     config: PointConfig
     system: LinearSystem
     jets: tuple
     lines: tuple
+    gamma_system: LinearSystem | None = None
+    gamma_jets: tuple = ()
 
     def values(self, x: Point) -> list:
         """The values of the system's basis at x."""
@@ -439,19 +451,13 @@ class MonoidalFamily:
                         for j, r in ratios])
         return out
 
-    def jet_values(self, x: Point) -> Mat:
-        """The jets evaluated at x: `jet_matrix(system, x, n - 2)`."""
-        field = self.config.field
-        if 0 < field.characteristic() <= self.system.degree:
-            raise ValueError("jet reduction needs characteristic 0 or p > degree")
-        return Mat.from_rows([[hf_eval(field, f, x) for f in row] for row in self.jets])
-
 
 def monoidal_family(cfg: PointConfig) -> MonoidalFamily:
-    """The augmented-monoidal family of an even configuration of >= 4 points.
+    """The fat-point systems of an even configuration of >= 4 points.
 
     Raises `DegenerateInputError` when Z fails `geom.validate_config` in
-    degree n.
+    degree n or, for n >= 4, the degree-(n-1) system does not have the
+    expected dimension.
     """
     field = cfg.field
     m = len(cfg)
@@ -465,8 +471,14 @@ def monoidal_family(cfg: PointConfig) -> MonoidalFamily:
     )
     # Z imposes independent conditions in degree n: the system has dimension binom(n+2, 2) - 2n
     system = curves_through(cfg, n)
-    jets = tuple(map(tuple, _symbolic_jet_rows(field, system, n - 2)))
-    return MonoidalFamily(cfg, system, jets, lines)
+    jets = _symbolic_jet_rows(field, system, n - 2)
+    if n < 4:
+        return MonoidalFamily(cfg, system, jets, lines)
+    # `jumping.pinceau_factorization` evaluates both systems' jets at points
+    if 0 < field.characteristic() <= n:
+        raise ValueError("jet reduction needs characteristic 0 or p > degree")
+    low = _expected_system(cfg, n - 1, n * (n - 3) // 2)
+    return MonoidalFamily(cfg, system, jets, lines, low, _symbolic_jet_rows(field, low, n - 3))
 
 
 def gamma_minor_matrix(cfg: PointConfig):
@@ -475,13 +487,7 @@ def gamma_minor_matrix(cfg: PointConfig):
     if m % 2 or m < 8:
         raise DegenerateInputError("needs an even configuration of >= 8 points")
     n = m // 2
-    system = curves_through(cfg, n - 1)
-    q = n * (n - 3) // 2
-    if system.dim() != q:
-        raise DegenerateInputError(
-            f"expected a {q}-dimensional system, got {system.dim()} (degenerate configuration)"
-        )
-    return _symbolic_jet_rows(cfg.field, system, n - 3)
+    return _symbolic_jet_rows(cfg.field, _expected_system(cfg, n - 1, n * (n - 3) // 2), n - 3)
 
 
 def gamma_minors(cfg: PointConfig) -> list:

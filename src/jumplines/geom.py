@@ -185,12 +185,13 @@ class PointConfig:
         raw = payload["points"]
         if not isinstance(raw, list) or not all(isinstance(pt, list) and len(pt) == 3 for pt in raw):
             raise ValueError("points must be a list of coordinate triples")
+        # a float or a boolean would be truncated or read as 0 or 1
+        if not all(isinstance(c, (int, str)) and not isinstance(c, bool) for pt in raw for c in pt):
+            raise ValueError("coordinates must be integers or 'num/den' strings")
         try:
             pts = tuple(normalize_point(field, pt) for pt in raw)
         except ZeroDivisionError:
             raise ValueError(f"a coordinate has a denominator that is 0 in {field.tag}") from None
-        except TypeError:
-            raise ValueError("coordinates must be integers or 'num/den' strings") from None
         if len(set(pts)) != len(pts):
             raise DegenerateInputError("configuration has repeated points")
         return cls(pts, field)

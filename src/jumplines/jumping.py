@@ -34,6 +34,7 @@ from .forms import (
     HForm,
     MonoidalFamily,
     _dot,
+    _jets_at,
     _symbolic_jet_rows,
     curves_through,
     gamma_minor_matrix,
@@ -44,7 +45,6 @@ from .forms import (
     hf_normalize,
     hf_partial,
     hf_sub,
-    jet_matrix,
     monomials,
     monoidal_det,
     monoidal_family,
@@ -65,7 +65,7 @@ from .geom import (
     plane_points,
 )
 from .intersect import length_accounting
-from .steiner import generic_eps1, splitting_columns, steiner_pencil
+from .steiner import generic_eps1, splitting_scan, steiner_pencil
 
 
 class VerificationError(AssertionError):
@@ -256,7 +256,7 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
     p = field.p
     plane = PlaneCoords.whole(p)
     sp = steiner_pencil(cfg)
-    eps1, eps2 = splitting_columns(sp, plane, threads=threads)
+    eps1, eps2 = splitting_scan(sp, plane, threads=threads)
     top = generic_eps1(m)
     jumping = set(kernels.rows_below(eps1, top))
     zrows = _rows_of(p, cfg.points)
@@ -267,6 +267,7 @@ def jumping_scan(cfg: PointConfig, threads: int = 1) -> JumpingReport:
     counts: dict = {"m": m, "n": n, "p": p, "plane_points": plane.stop}
 
     if even:
+        # below 8 points there is no Gamma; the guard keeps every gamma_scan call a scan
         gamma, zhits = gamma_scan(cfg, threads) if n > 3 else ([], [])
         grows = _rows_of(p, gamma)
         z_order = n - 2
@@ -561,7 +562,7 @@ def pinceau_factorization(cfg: PointConfig, x: Point, family: MonoidalFamily | N
     is predicted as the kernel of the order-(n-3) jets of the degree-(n-1)
     system at x, and two independent members must each be c times a line
     through x, so c is their gcd.  Violations raise VerificationError (they
-    would falsify the factorization statement).  The degree-n system and its
+    would falsify the factorization statement).  Both systems and their
     jets come from `family`, the configuration's `monoidal_family`, built
     here when not given.
     """
@@ -572,17 +573,16 @@ def pinceau_factorization(cfg: PointConfig, x: Point, family: MonoidalFamily | N
     n = m // 2
     x = normalize_point(field, x)
     family = _family_for(cfg, family)
-    combos = kernel_basis(field, family.jet_values(x))
+    combos = kernel_basis(field, _jets_at(field, family.jets, x))
     if len(combos) < 2:
         raise VerificationError(f"fat-point system at {x} has dimension {len(combos)} < 2")
     members = [_combine(field, v, family.system.basis) for v in combos[:2]]
-    low = curves_through(cfg, n - 1)
-    singular = kernel_basis(field, jet_matrix(low, x, n - 3))
+    singular = kernel_basis(field, _jets_at(field, family.gamma_jets, x))
     if len(singular) != 1:
         raise VerificationError(
             f"{len(singular)} independent degree-{n - 1} curves through Z are {n - 2}-fold singular at {x}, want 1"
         )
-    c = hf_normalize(field, _combine(field, singular[0], low.basis))
+    c = hf_normalize(field, _combine(field, singular[0], family.gamma_system.basis))
     lines = []
     for g in members:
         try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .algebra import DegenerateInputError, FieldSpec, Mat, mat_inverse, rank, rref
-from .geom import PointConfig, Point, dual_line_basis, flat_coords
+from .geom import PointConfig, Point, dual_line_basis
 
 
 @dataclass(frozen=True)
@@ -48,24 +48,6 @@ class SteinerPencil:
             "A": [[field.to_json(v) for v in a.entries] for a in self.matrices()],
         }
         return json.dumps(payload, indent=2) + "\n"
-
-
-@dataclass(frozen=True)
-class SplittingType:
-    """Splitting degrees (eps1 <= eps2) of the restriction to a dual line.
-
-    Stored in the twisted presentation normalization: each value is the raw
-    polynomial kernel degree of the restricted pencil plus one, so that
-    eps1 + eps2 = m - 1 and the balanced generic value of eps1 is
-    floor((m-1)/2).
-    """
-
-    eps1: int
-    eps2: int
-
-    def __post_init__(self):
-        if self.eps1 > self.eps2:
-            raise ValueError("splitting type must be ordered")
 
 
 def _complement_indices(field: FieldSpec, spanning_rows, width: int):
@@ -222,11 +204,13 @@ def pencil_nullity(field: FieldSpec, b0: Mat, b1: Mat, d: int) -> int:
     return bigc - rank(field, Mat.from_rows(m))
 
 
-def splitting_type(sp: SteinerPencil, x: Point) -> SplittingType:
-    """Splitting type at one point (kernel degrees shifted by the twist)."""
+def splitting_type(sp: SteinerPencil, x: Point) -> tuple:
+    """Splitting degrees (eps1, eps2), ascending, on the dual line of x: the
+    restricted pencil's kernel degrees plus one (the twist), so that eps1 +
+    eps2 = m - 1 and the balanced generic value of eps1 is floor((m-1)/2)."""
     b0, b1 = restrict_to_dual_line(sp, x)
     d1, d2 = minimal_indices(sp.config.field, b0, b1, want=2)
-    return SplittingType(d1 + 1, d2 + 1)
+    return d1 + 1, d2 + 1
 
 
 def generic_eps1(m: int) -> int:
@@ -236,11 +220,10 @@ def generic_eps1(m: int) -> int:
 
 def jumping_order(sp: SteinerPencil, x: Point) -> int:
     """How far eps1 at x falls below the balanced value (0 = not jumping)."""
-    st = splitting_type(sp, x)
-    return generic_eps1(sp.m) - st.eps1
+    return generic_eps1(sp.m) - splitting_type(sp, x)[0]
 
 
-def splitting_columns(sp: SteinerPencil, pts_flat, threads: int = 1):
+def splitting_scan(sp: SteinerPencil, pts_flat, threads: int = 1):
     """(eps1, eps2) columns of the splitting types at many points (prime fields only).
 
     The points are one flat list of coordinates (`flat_coords`) or a
@@ -251,18 +234,10 @@ def splitting_columns(sp: SteinerPencil, pts_flat, threads: int = 1):
     field = sp.config.field
     if field.kind != "fp":
         raise ValueError("scans require a prime field")
-    a0 = [int(v) for v in sp.A0.entries]
-    a1 = [int(v) for v in sp.A1.entries]
-    a2 = [int(v) for v in sp.A2.entries]
+    a0, a1, a2 = ([int(v) for v in a.entries] for a in sp.matrices())
     rows, cols = sp.A0.rows, sp.A0.cols
 
     def run(chunk):
         return kernels.splitting_scan(a0, a1, a2, rows, cols, chunk, field.p)
 
     return kernels.scan_in_chunks(run, pts_flat, threads)
-
-
-def splitting_scan(sp: SteinerPencil, points, threads: int = 1):
-    """Splitting types at many points (prime fields only), from `splitting_columns`."""
-    eps1, eps2 = splitting_columns(sp, flat_coords(points), threads)
-    return [SplittingType(a, b) for a, b in zip(eps1, eps2)]

@@ -59,9 +59,9 @@ class SeedBundle:
 
     The report carries the configuration, the seed it was drawn from, the
     reseed count and Gamma; every criterion reads them from there.  The
-    degree-4 system through the configuration and its jets (`family`) serve
-    every augmented monoidal curve of criterion 7 and every fat-point system
-    of criterion 8.
+    degree-4 and degree-3 systems through the configuration and their jets
+    (`family`) serve every augmented monoidal curve of criterion 7 and every
+    factorization of criterion 8.
     """
 
     seed: int  # as requested, before any reseed
@@ -70,7 +70,7 @@ class SeedBundle:
     family: MonoidalFamily
 
 
-def resolve_bundle(seed: int, p: int, threads: int = 1) -> SeedBundle:
+def resolve_bundle(seed: int, p: int) -> SeedBundle:
     """Scan an 8-point configuration, reseeding past degenerate draws only."""
     field = prime_field(p)
     reseeds = 0
@@ -78,7 +78,7 @@ def resolve_bundle(seed: int, p: int, threads: int = 1) -> SeedBundle:
     while True:
         try:
             cfg = random_config(8, field, seed=s)
-            report = jumping_scan(cfg, threads=threads)
+            report = jumping_scan(cfg)
             if not report.verdicts["gamma_disjoint_from_z"]:
                 raise DegenerateInputError("fat-point condition meets the configuration")
             res = pencil4_eliminant(cfg)
@@ -140,12 +140,12 @@ def criterion_2(bundles, p: int) -> tuple[bool, str]:
     return True, f"16 = 4 + 12 with closure count 12 on all {len(bundles)} seeds"
 
 
-def criterion_3(seeds, p: int, threads: int = 1) -> tuple[bool, str]:
+def criterion_3(seeds, p: int) -> tuple[bool, str]:
     """Even-c1 theorem: jumping set = monoidal zero locus, degree n(n-1)."""
     field = prime_field(p)
     for seed in seeds:
         cfg = random_config(7, field, seed=seed)
-        rep = jumping_scan(cfg, threads=threads)
+        rep = jumping_scan(cfg)
         if not rep.all_verdicts_true():
             return False, f"seed {seed}: witness {rep.witness}"
     return True, f"monoidal degree 6 locus matches on seeds {list(seeds)}"
@@ -163,15 +163,15 @@ def criterion_4(bundles) -> tuple[bool, str]:
     return True, f"every plane point off Z, and all of Z jumps, {len(bundles)} seeds"
 
 
-def criterion_5(p: int, threads: int = 1) -> tuple[bool, str]:
+def criterion_5(p: int) -> tuple[bool, str]:
     """4 points: no jumping lines. 6 points: exactly Z, order 1, Gamma empty."""
     field = prime_field(p)
     cfg4 = random_config(4, field, seed=1)
-    rep4 = jumping_scan(cfg4, threads=threads)
+    rep4 = jumping_scan(cfg4)
     if not rep4.all_verdicts_true() or rep4.counts["jumping_points"] != 0:
         return False, f"4 points: witness {rep4.witness}"
     cfg6 = random_config(6, field, seed=1)
-    rep6 = jumping_scan(cfg6, threads=threads)
+    rep6 = jumping_scan(cfg6)
     if not rep6.all_verdicts_true() or rep6.counts["jumping_points"] != 6:
         return False, f"6 points: witness {rep6.witness}"
     return True, "4 points: empty; 6 points: exactly Z with order 1"
@@ -233,35 +233,35 @@ def criterion_9() -> tuple[bool, str]:
     return True, "degrees for n=2..12 (anchor 12 at n=3), length split for n=2..50"
 
 
-def criterion_10(p: int, threads: int = 1) -> tuple[bool, str]:
+def criterion_10(p: int) -> tuple[bool, str]:
     """Byte-identical reports on repeated runs with the same seed."""
     field = prime_field(p)
     cfg_a = random_config(6, field, seed=1)
     cfg_b = random_config(6, field, seed=1)
     if cfg_a.to_json() != cfg_b.to_json():
         return False, "configuration generation is not deterministic"
-    rep_a = jumping_scan(cfg_a, threads=threads)
-    rep_b = jumping_scan(cfg_b, threads=max(2, threads))
+    rep_a = jumping_scan(cfg_a)
+    rep_b = jumping_scan(cfg_b, threads=2)
     if rep_a.to_json() != rep_b.to_json() or rep_a.to_csv() != rep_b.to_csv():
         return False, "scan reports differ between runs"
     return True, "config JSON, report JSON and CSV reproduce byte for byte"
 
 
-def run_all(seeds=SHIPPED_SEEDS, p: int = 101, threads: int = 1):
+def run_all(seeds=SHIPPED_SEEDS, p: int = 101):
     """Run every criterion and time it; returns (results, bundles)."""
-    bundles = [resolve_bundle(s, p, threads) for s in seeds]
+    bundles = [resolve_bundle(s, p) for s in seeds]
     # each call looks its criterion up when it runs, so a rebound name is the one timed
     checks = [
         ("odd-c1 theorem, exhaustive over the plane", lambda: criterion_1(bundles)),
         ("eliminant pipeline and example counts", lambda: criterion_2(bundles, p)),
-        ("even-c1 theorem, exhaustive over the plane", lambda: criterion_3(seeds[:3], p, threads)),
+        ("even-c1 theorem, exhaustive over the plane", lambda: criterion_3(seeds[:3], p)),
         ("splitting test equivalent to fat-point test", lambda: criterion_4(bundles)),
-        ("degenerate anchors (4 and 6 points)", lambda: criterion_5(p, threads)),
+        ("degenerate anchors (4 and 6 points)", lambda: criterion_5(p)),
         ("ninth base point is not a jumping line", lambda: criterion_6(bundles)),
         ("fixed-point containment and base-locus equality", lambda: criterion_7(bundles)),
         ("fat-point system factors as cubic + line", lambda: criterion_8(bundles)),
         ("intersection-theory formulas", lambda: criterion_9()),
-        ("determinism of reports", lambda: criterion_10(p, threads)),
+        ("determinism of reports", lambda: criterion_10(p)),
     ]
     results = []
     for number, (name, check) in enumerate(checks, 1):

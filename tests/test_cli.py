@@ -58,7 +58,6 @@ def test_usage_errors(capsys):
         ("verify", "--seeds", "x"),
         ("verify", "--seeds", "1,x"),
         ("verify", "--seeds", ""),
-        ("verify", "--threads", "0"),
         ("render", "--count", "5", "--field", "q", "--grid", "0"),
     ):
         code5, out5, err5 = run(capsys, *argv)
@@ -69,6 +68,10 @@ def test_usage_errors(capsys):
     code6, out6, err6 = run(capsys, "verify", "--trials", "4")
     assert code6 == 1 and out6 == ""
     assert err6.startswith("usage error: unrecognized arguments: --trials 4"), err6
+    # threads split jump's scan only: verify has no --threads
+    code8, out8, err8 = run(capsys, "verify", "--threads", "2")
+    assert code8 == 1 and out8 == ""
+    assert err8.startswith("usage error: unrecognized arguments: --threads 2"), err8
     # the generator's retry budget is fixed: there is no --retries
     code7, out7, err7 = run(capsys, "gen", "--count", "6", "--retries", "5")
     assert code7 == 1 and out7 == ""
@@ -90,9 +93,14 @@ def test_config_with_a_bad_field_is_a_usage_error(tmp_path, capsys):
     ("fp:101", [[1, 0, 0], [0, 1], [0, 0, 1], [1, 1, 1]], "points must be a list of coordinate triples"),
     ("fp:101", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1, 1]], "points must be a list of coordinate triples"),
     ("fp:101", [[1, 0, 0], [0, 1, 0], [None, 0, 1], [1, 1, 1]], "coordinates must be integers or 'num/den' strings"),
-], ids=["zero-denominator-mod-p", "zero-denominator-over-q", "two-coordinates", "four-coordinates", "null-coordinate"])
+    ("fp:101", [[1.5, 0, 1], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "coordinates must be integers or 'num/den' strings"),
+    ("fp:101", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [True, 1, 1]], "coordinates must be integers or 'num/den' strings"),
+    ("q", [[0.5, 0, 1], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "coordinates must be integers or 'num/den' strings"),
+], ids=["zero-denominator-mod-p", "zero-denominator-over-q", "two-coordinates", "four-coordinates", "null-coordinate",
+        "float-coordinate-mod-p", "boolean-coordinate", "float-coordinate-over-q"])
 def test_config_with_a_malformed_point_is_a_usage_error(tmp_path, capsys, field, points, why):
-    # each used to die with a ZeroDivisionError, IndexError or TypeError traceback
+    # each used to die with a ZeroDivisionError, IndexError or TypeError
+    # traceback, or, for a float or a boolean, to be read as another point
     cfgp = tmp_path / "malformed.json"
     cfgp.write_text(json.dumps({"field": field, "points": points}))
     for command in ("monoidal", "render"):
@@ -292,11 +300,6 @@ def test_threads_on_the_pure_backend_warn(tmp_path, capsys, monkeypatch, backend
         assert ("warning: --threads 2" in err) == (warns and threads == "2")
         outs.append(outp.read_bytes())
     assert outs[0] == outs[1]
-    monkeypatch.setattr("jumplines.cli.run_all", lambda **kw: ([], []))
-    for threads in ("1", "3"):
-        code, out, err = run(capsys, "verify", "--threads", threads)
-        assert code == 0 and out == ""
-        assert ("warning: --threads 3" in err) == (warns and threads == "3")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -19,6 +19,7 @@ from jumplines import kernels
 from jumplines.forms import (
     HForm,
     MonoidalFamily,
+    _jets_at,
     _symbolic_jet_rows,
     curves_through,
     gamma_minor_matrix,
@@ -377,12 +378,11 @@ def test_pinceau_factorization(cfg8, gamma8):
                 assert hf_mul(F101, c, line) == member
 
 
-def test_pinceau_rejects_another_configurations_curves(cfg8, gamma8, monkeypatch):
-    # the factor is predicted from the degree-3 curves through Z; planted
-    # curves through another configuration have no member singular at x
-    family = monoidal_family(cfg8)
+def test_pinceau_rejects_another_configurations_curves(cfg8, gamma8):
+    # the factor is predicted from the family's degree-3 curves through Z;
+    # planted curves through another configuration have no member singular at x
     other = curves_through(random_config(8, F101, seed=2), 3)
-    monkeypatch.setattr("jumplines.jumping.curves_through", lambda cfg, d: other)
+    family = dataclasses.replace(monoidal_family(cfg8), gamma_system=other, gamma_jets=_symbolic_jet_rows(F101, other, 1))
     with pytest.raises(VerificationError, match="singular at"):
         pinceau_factorization(cfg8, gamma8[0], family)
 
@@ -549,8 +549,31 @@ def test_pinceau_factorization_with_the_shared_jets(seed):
     gamma = gamma_points(cfg)
     assert gamma
     for x in gamma:
-        assert family.jet_values(x) == jet_matrix(system, x, 2)
+        assert _jets_at(F101, family.jets, x) == jet_matrix(system, x, 2)
         assert pinceau_factorization(cfg, x, family) == pinceau_factorization(cfg, x)
+
+
+@pytest.mark.parametrize("m", [8, 10])
+def test_monoidal_family_holds_the_gamma_system(m):
+    # the family's degree-(n-1) jets are the Gamma scan's matrix, and its
+    # degree-n jets evaluate at every Gamma point as jet_matrix does
+    n = m // 2
+    cfg = random_config(m, F101, seed=1)
+    family = monoidal_family(cfg)
+    assert family.gamma_system == curves_through(cfg, n - 1)
+    assert family.gamma_system.dim() == n * (n - 3) // 2
+    assert family.gamma_jets == gamma_minor_matrix(cfg)
+    gamma = gamma_points(cfg)
+    assert gamma
+    for x in gamma:
+        assert _jets_at(F101, family.jets, x) == jet_matrix(family.system, x, n - 2)
+        assert _jets_at(F101, family.gamma_jets, x) == jet_matrix(family.gamma_system, x, n - 3)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_small_monoidal_families_hold_no_gamma_system(m):
+    family = monoidal_family(random_config(m, F101, seed=1))
+    assert family.gamma_system is None and family.gamma_jets == ()
 
 
 @pytest.mark.parametrize("p", [31, 101])

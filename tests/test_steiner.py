@@ -4,16 +4,14 @@ from fractions import Fraction
 import pytest
 
 from jumplines.algebra import DegenerateInputError, Mat, RATIONALS, prime_field, rank
-from jumplines.geom import flat_coords, normalize_point, plane_points, random_config
+from jumplines.geom import PlaneCoords, flat_coords, normalize_point, plane_point, plane_points, random_config
 from jumplines.jumping import gamma_points
 from jumplines.steiner import (
-    SplittingType,
     generic_eps1,
     jumping_order,
     minimal_indices,
     pencil_nullity,
     restrict_to_dual_line,
-    splitting_columns,
     splitting_scan,
     splitting_type,
     steiner_pencil,
@@ -78,12 +76,10 @@ def test_rank_deficient_pencil_rejected():
 def test_splitting_values_at_special_points(cfg8, sp8):
     # configuration points: (1, 6); extra jumping points: (2, 5); generic: (3, 4)
     for x in cfg8.points:
-        st = splitting_type(sp8, x)
-        assert (st.eps1, st.eps2) == (1, 6)
+        assert splitting_type(sp8, x) == (1, 6)
         assert jumping_order(sp8, x) == 2
     for x in gamma_points(cfg8):
-        st = splitting_type(sp8, x)
-        assert (st.eps1, st.eps2) == (2, 5)
+        assert splitting_type(sp8, x) == (2, 5)
         assert jumping_order(sp8, x) == 1
     rng = random.Random(5)
     pts = plane_points(101)
@@ -93,8 +89,7 @@ def test_splitting_values_at_special_points(cfg8, sp8):
         x = pts[rng.randrange(len(pts))]
         if x in special:
             continue
-        st = splitting_type(sp8, x)
-        assert (st.eps1, st.eps2) == (3, 4)
+        assert splitting_type(sp8, x) == (3, 4)
         assert jumping_order(sp8, x) == 0
         checked += 1
 
@@ -104,9 +99,9 @@ def test_splitting_invariants(cfg8, sp8):
     pts = plane_points(101)
     for _ in range(15):
         x = pts[rng.randrange(len(pts))]
-        st = splitting_type(sp8, x)
-        assert st.eps1 + st.eps2 == sp8.m - 1
-        assert 1 <= st.eps1 <= generic_eps1(sp8.m)
+        eps1, eps2 = splitting_type(sp8, x)
+        assert eps1 + eps2 == sp8.m - 1
+        assert 1 <= eps1 <= eps2 and eps1 <= generic_eps1(sp8.m)
 
 
 def test_nullity_sequence_matches_indices(cfg8, sp8):
@@ -173,16 +168,20 @@ def test_splitting_scan_matches_pointwise_and_threads(m):
     sp = steiner_pencil(cfg)
     special = list(cfg.points) + (gamma_points(cfg) if m % 2 == 0 else [])
     pts = plane_points(101)[:120] + special
-    one = splitting_scan(sp, pts, threads=1)
-    thr = splitting_scan(sp, pts, threads=3)
-    assert one == thr
-    eps1, eps2 = splitting_columns(sp, flat_coords(pts), threads=3)
-    assert list(zip(eps1, eps2)) == [(st.eps1, st.eps2) for st in one]
-    # the second index is computed, not taken from eps1 + eps2 = m - 1
-    assert all(st.eps1 + st.eps2 == m - 1 for st in one)
-    for x, st in list(zip(pts, one))[:25] + list(zip(pts, one))[120:]:
-        assert splitting_type(sp, x) == st
-        assert jumping_order(sp, x) == generic_eps1(m) - st.eps1
+    # a flat point list, and the last 202 plane rows: they start mid-row and
+    # hold the line at infinity
+    rows = PlaneCoords(101, 101**2 - 100, 101**2 + 102)
+    tail = [plane_point(101, i) for i in range(rows.start, rows.stop)]
+    for flat, points in ((flat_coords(pts), pts), (rows, tail)):
+        columns = [splitting_scan(sp, flat, threads=t) for t in (1, 2, 3)]
+        assert columns[1] == columns[0] and columns[2] == columns[0]
+        pairs = list(zip(*columns[0]))
+        assert len(pairs) == len(points)
+        # the second index is computed, not taken from eps1 + eps2 = m - 1
+        assert all(a + b == m - 1 for a, b in pairs)
+        for x, pair in zip(points, pairs):
+            assert splitting_type(sp, x) == pair
+            assert jumping_order(sp, x) == generic_eps1(m) - pair[0]
 
 
 @pytest.mark.parametrize("m", [6, 8])
@@ -199,11 +198,6 @@ def test_rational_pencil_route_end_to_end(m):
         if any(c) and (x := normalize_point(RATIONALS, c)) not in cfg and x not in off:
             off.append(x)
     assert [jumping_order(sp, x) for x in off] == [0] * 5
-
-
-def test_splitting_type_ordering_guard():
-    with pytest.raises(ValueError):
-        SplittingType(4, 3)
 
 
 def test_pencil_json_dump(sp8):
