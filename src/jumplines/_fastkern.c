@@ -21,10 +21,10 @@
  * Inverses: splitting_scan and form_matrix_scan build one table of the
  * inverses mod p per call when the call has at least p points (every
  * full-plane scan has p*p + p + 1), in O(p) and 8 * p bytes; every other
- * call (rank_mod_p, pencil_kernel_degrees, shorter point lists) inverts by
- * extended Euclid.  Nothing is kept between calls, so thread chunks stay
- * independent.  The pure twins invert by pow(x, p - 2, p), so the parity
- * tests check the table against an independent inverse.
+ * call (rank_mod_p, shorter point lists such as splitting_type's one point)
+ * inverts by extended Euclid.  Nothing is kept between calls, so thread
+ * chunks stay independent.  The pure twins invert by pow(x, p - 2, p), so
+ * the parity tests check the table against an independent inverse.
  *
  * Build: python setup.py build_ext --inplace
  */
@@ -194,7 +194,7 @@ static void kernel_products(i64 *const a[3], int rows, int cols, const i64 *red,
                 *ak++ = times_kernel(a[k] + (Py_ssize_t)i * cols, red, piv, rho, cols, freec[q], md);
 }
 
-/* First `want` column minimal indices of the pencil s*B0 + t*B1 (rows x
+/* The two smallest column minimal indices of the pencil s*B0 + t*B1 (rows x
  * cols residues), written to out.  The column staircase (Van Dooren 1979):
  * at level k, B0 has a kernel K of dimension nu and B1*K has rank mu; then
  * nu - mu indices equal k.  Clearing B1*K by row operations, and dropping
@@ -210,8 +210,8 @@ static void kernel_products(i64 *const a[3], int rows, int cols, const i64 *red,
  *
  * work holds 5 * rows * cols residues, iwork 2 * cols ints; level0->ak, when
  * set, 3 * rows * (cols - rows) residues. */
-static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, modulus md, int want,
-                          const reduction *level0, i64 *work, int *iwork, i64 *out)
+static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, modulus md, const reduction *level0,
+                          i64 *work, int *iwork, i64 *out)
 {
     static const int probes[4][2] = {{0, 1}, {1, 1}, {1, 2}, {1, 3}};
     Py_ssize_t n = (Py_ssize_t)rows * cols;
@@ -239,13 +239,13 @@ static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, modu
     }
     if (best < rows)
         return DEG_RANK_DEFICIENT;
-    if (cols - rows < want)
+    if (cols - rows < 2)
         return DEG_KERNEL_TOO_SMALL;
 
     memcpy(m0, b0, n * sizeof(i64));
     memcpy(m1, b1, n * sizeof(i64));
     int nfound = 0;
-    for (int level = 0; nfound < want; level++) {
+    for (int level = 0; nfound < 2; level++) {
         if (level > 0) {
             memcpy(redw, m0, (Py_ssize_t)rows * cols * sizeof(i64));
             rho = echelon(redw, rows, cols, cols, md, pivw, NULL);
@@ -275,7 +275,7 @@ static int pencil_degrees(const i64 *b0, const i64 *b1, int rows, int cols, modu
             }
         }
         int mu = echelon(aug, rows, width, nu, md, NULL, NULL);
-        for (int k = nu - mu; k > 0 && nfound < want; k--)
+        for (int k = nu - mu; k > 0 && nfound < 2; k--)
             out[nfound++] = level;
         rows -= mu;
         cols = rho;
@@ -567,20 +567,6 @@ static PyObject *column_pair(column *a, column *b, int ok)
     return res;
 }
 
-static PyObject *int_list(const i64 *vals, Py_ssize_t n)
-{
-    PyObject *list = PyList_New(n);
-    for (Py_ssize_t i = 0; list && i < n; i++) {
-        PyObject *v = PyLong_FromLongLong(vals[i]);
-        if (!v) {
-            Py_CLEAR(list);
-            break;
-        }
-        PyList_SET_ITEM(list, i, v);
-    }
-    return list;
-}
-
 static PyObject *raise_degrees_error(int rc)
 {
     const char *msg = rc == DEG_RANK_DEFICIENT ? "pencil is rank deficient for generic members"
@@ -608,38 +594,6 @@ static PyObject *rank_mod_p(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_END_ALLOW_THREADS
     PyMem_Free(a);
     return PyLong_FromLong(r);
-}
-
-static PyObject *pencil_kernel_degrees(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"b0", "b1", "rows", "cols", "p", "want", NULL};
-    PyObject *b0, *b1;
-    int rows, cols, want = 2;
-    long long p;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOiiL|i", kwlist, &b0, &b1, &rows, &cols, &p, &want)
-        || check_shape(rows, cols) < 0 || check_modulus(p) < 0)
-        return NULL;
-    Py_ssize_t n = (Py_ssize_t)rows * cols;
-    PyObject *res = NULL;
-    i64 *c0 = read_ints(b0, n, p), *c1 = c0 ? read_ints(b1, n, p) : NULL;
-    i64 *work = c1 ? alloc(5 * n, sizeof(i64)) : NULL;
-    int *iwork = work ? alloc(2 * (Py_ssize_t)cols, sizeof(int)) : NULL;
-    i64 *out = iwork ? alloc(want, sizeof(i64)) : NULL;
-    if (out) {
-        int rc;
-        Py_BEGIN_ALLOW_THREADS
-        rc = pencil_degrees(c0, c1, rows, cols, make_modulus(p), want, NULL, work, iwork, out);
-        Py_END_ALLOW_THREADS
-        if (rc != DEG_OK) {
-            raise_degrees_error(rc);
-        } else {
-            PyObject *list = int_list(out, want > 0 ? want : 0);
-            res = list ? PyList_AsTuple(list) : NULL;
-            Py_XDECREF(list);
-        }
-    }
-    PyMem_Free(c0); PyMem_Free(c1); PyMem_Free(work); PyMem_Free(iwork); PyMem_Free(out);
-    return res;
 }
 
 /* The splitting type (eps1, eps2) of the Steiner bundle on the dual line of
@@ -721,9 +675,9 @@ static PyObject *splitting_scan(PyObject *self, PyObject *args, PyObject *kwargs
         }
         if (shared >= 0 && rho[shared] == rows) {
             reduction level0 = {red + shared * n, piv + shared * cols, rows, ak + shared * 3 * n, form[1 - shared]};
-            rc = pencil_degrees(b + shared * n, b + (1 - shared) * n, rows, cols, md, 2, &level0, work, iwork, deg);
+            rc = pencil_degrees(b + shared * n, b + (1 - shared) * n, rows, cols, md, &level0, work, iwork, deg);
         } else {
-            rc = pencil_degrees(b, b + n, rows, cols, md, 2, NULL, work, iwork, deg);
+            rc = pencil_degrees(b, b + n, rows, cols, md, NULL, work, iwork, deg);
         }
         if (rc == DEG_OK) {
             eps1.data[pt] = (int)deg[0] + 1;
@@ -1145,9 +1099,6 @@ done:
 static PyMethodDef methods[] = {
     {"rank_mod_p", (PyCFunction)(void (*)(void))rank_mod_p, METH_VARARGS | METH_KEYWORDS,
      "rank_mod_p(flat, rows, cols, p)\n--\n\nRank mod p of a rows x cols matrix."},
-    {"pencil_kernel_degrees", (PyCFunction)(void (*)(void))pencil_kernel_degrees, METH_VARARGS | METH_KEYWORDS,
-     "pencil_kernel_degrees(b0, b1, rows, cols, p, want=2)\n--\n\n"
-     "First `want` column minimal indices of the pencil s*B0 + t*B1."},
     {"splitting_scan", (PyCFunction)(void (*)(void))splitting_scan, METH_VARARGS | METH_KEYWORDS,
      "splitting_scan(a0, a1, a2, rows, cols, pts_flat, p)\n--\n\n"
      "(eps1, eps2) array('i') columns: the two smallest kernel degrees, plus 1,\n"

@@ -70,7 +70,7 @@ class FieldSpec:
     def from_tag(cls, tag: str) -> "FieldSpec":
         if tag == "q":
             return cls("q")
-        if tag.startswith("fp:"):
+        if isinstance(tag, str) and tag.startswith("fp:"):
             return cls("fp", int(tag[3:]))
         raise ValueError(f"bad field tag {tag!r} (expected 'q' or 'fp:<p>')")
 

@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     except DegenerateInputError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file that is missing, a directory or unreadable
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

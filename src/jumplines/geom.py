@@ -181,6 +181,8 @@ class PointConfig:
         """Read a configuration; repeated points raise `DegenerateInputError`,
         malformed points and coordinates `ValueError`."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("a configuration must be a JSON object")
         field = FieldSpec.from_tag(payload["field"])
         raw = payload["points"]
         if not isinstance(raw, list) or not all(isinstance(pt, list) and len(pt) == 3 for pt in raw):

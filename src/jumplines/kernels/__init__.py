@@ -47,10 +47,6 @@ def rank_mod_p(flat, rows: int, cols: int, p: int) -> int:
     return impl_for(p).rank_mod_p(flat, rows, cols, p)
 
 
-def pencil_kernel_degrees(b0, b1, rows: int, cols: int, p: int, want: int = 2):
-    return impl_for(p).pencil_kernel_degrees(b0, b1, rows, cols, p, want)
-
-
 def splitting_scan(a0, a1, a2, rows: int, cols: int, pts_flat, p: int):
     return impl_for(p).splitting_scan(a0, a1, a2, rows, cols, pts_flat, p)
 

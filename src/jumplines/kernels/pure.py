@@ -129,28 +129,20 @@ def _staircase_level(m0, m1, r0, piv, rows: int, cols: int, p: int, m1k=None):
     return nu, mu, [row[nu : nu + rho] for row in rest], [row[nu + rho :] for row in rest]
 
 
-def pencil_kernel_degrees(b0, b1, rows: int, cols: int, p: int, want: int = 2):
-    """First `want` column minimal indices of the pencil s*B0 + t*B1.
+def _pencil_degrees(m0, m1, rows: int, cols: int, p: int, level0=None):
+    """The two smallest column minimal indices of the pencil s*M0 + t*M1.
 
-    Column staircase (Van Dooren 1979) by exact elimination mod p: at level
-    k, the nu kernel vectors of B0 on which B1 has rank mu give nu - mu
-    indices equal to k; dropping those kernel columns and the mu rows B1
-    reaches leaves the pencil of level k + 1.  Raises if the generic member
-    is rank deficient or B0 of some level is injective before `want`
-    indices are found.  The generic rank is probed on the members (s, t) =
-    (1, 0), (0, 1), (1, 1), (1, 2), (1, 3); the first is B0, whose rank
-    level 0's RREF gives, so the others run only when B0 is deficient.
+    Column staircase (Van Dooren 1979) mod p on the row lists m0, m1
+    (residues, left unmodified): at level k, the nu kernel vectors of M0 on
+    which M1 has rank mu give nu - mu indices equal to k; dropping those
+    kernel columns and the mu rows M1 reaches leaves the pencil of level
+    k + 1.  Raises if the generic member is rank deficient or there are
+    fewer than two indices.  The generic rank is probed on the members
+    (s, t) = (1, 0), (0, 1), (1, 1), (1, 2), (1, 3); the first is M0, whose
+    rank level 0's RREF gives, so the others run only when M0 is deficient.
+    level0 is (r0, piv, m1k) when the caller has `_rref(m0)`, with m1k its
+    level-0 M1*K or None.
     """
-    _check_modulus(p)
-    m0 = [[b0[i * cols + j] % p for j in range(cols)] for i in range(rows)]
-    m1 = [[b1[i * cols + j] % p for j in range(cols)] for i in range(rows)]
-    return _pencil_degrees(m0, m1, rows, cols, p, want)
-
-
-def _pencil_degrees(m0, m1, rows: int, cols: int, p: int, want: int, level0=None):
-    """`pencil_kernel_degrees` on the row lists m0, m1 (residues), which it
-    does not modify.  level0 is (r0, piv, m1k) when the caller already has
-    `_rref(m0)`, with m1k its level-0 M1*K or None."""
     r0, piv, m1k = level0 or (*_rref(m0, rows, cols, p), None)
     best = len(piv)
     for s, t in ((0, 1), (1, 1), (1, 2), (1, 3)):
@@ -160,11 +152,11 @@ def _pencil_degrees(m0, m1, rows: int, cols: int, p: int, want: int, level0=None
         best = max(best, rank_mod_p(member, rows, cols, p))
     if best < rows:
         raise ArithmeticError("pencil is rank deficient for generic members")
-    if cols - rows < want:
+    if cols - rows < 2:
         raise ArithmeticError("pencil kernel is too small")
     found = []
     level = 0
-    while len(found) < want:
+    while len(found) < 2:
         if level:
             r0, piv = _rref(m0, rows, cols, p)
             m1k = None
@@ -174,7 +166,7 @@ def _pencil_degrees(m0, m1, rows: int, cols: int, p: int, want: int, level0=None
         found += [level] * (nu - mu)
         rows, cols = rows - mu, cols - nu
         level += 1
-    return tuple(found[:want])
+    return tuple(found[:2])
 
 
 def _dual_basis_mod_p(x0: int, x1: int, x2: int, p: int):
@@ -237,9 +229,9 @@ def splitting_scan(a0, a1, a2, rows: int, cols: int, pts_flat, p: int):
             r0, piv, ak = level0[shared]
             c0, c1, c2 = ls[1 - shared]
             m1k = [[(c0 * x + c1 * y + c2 * z) % p for x, y, z in row] for row in ak]
-            d1, d2 = _pencil_degrees(members[shared], members[1 - shared], rows, cols, p, 2, (r0, piv, m1k))
+            d1, d2 = _pencil_degrees(members[shared], members[1 - shared], rows, cols, p, (r0, piv, m1k))
         else:
-            d1, d2 = _pencil_degrees(members[0], members[1], rows, cols, p, 2)
+            d1, d2 = _pencil_degrees(members[0], members[1], rows, cols, p)
         eps1.append(d1 + 1)
         eps2.append(d2 + 1)
     return eps1, eps2

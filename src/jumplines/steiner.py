@@ -128,22 +128,17 @@ def minimal_indices(field: FieldSpec, b0: Mat, b1: Mat, want: int | None = None)
     dimension nu and B1*K has rank mu, so nu - mu indices equal k; clearing
     B1*K by row operations, then dropping its mu pivot rows and the nu kernel
     columns, leaves the pencil of level k + 1.  Requires full generic row
-    rank; the number of indices is then cols - rows.  Prime fields run on the
-    scan kernels; `pencil_nullity` is the independent reference.
+    rank; the number of indices is then cols - rows.  Runs over any field: it
+    backs `splitting_type` over Q and is the reference the scan kernels are
+    tested against, as `pencil_nullity` is its own.
     """
     if b0.rows != b1.rows or b0.cols != b1.cols:
         raise ValueError("pencil matrices must share a shape")
     rows, cols = b0.rows, b0.cols
     if want is None:
         want = cols - rows
-    if field.kind == "fp":
-        degs = kernels.pencil_kernel_degrees(
-            [int(v) for v in b0.entries], [int(v) for v in b1.entries], rows, cols, field.p, want
-        )
-        return tuple(int(d) for d in degs)
-    # rational path: the same staircase over exact scalars.  The generic rank
-    # is probed on the members (s, t) = (1, 0), (0, 1), (1, 1), (1, 2), (1, 3);
-    # the first is B0, whose rank level 0's RREF gives
+    # the generic rank is probed on the members (s, t) = (1, 0), (0, 1),
+    # (1, 1), (1, 2), (1, 3); the first is B0, whose rank level 0's RREF gives
     red, rho, piv = rref(field, b0)
     probe_rank = rho
     for s, t in ((field.zero, field.one), (field.one, field.one),
@@ -207,7 +202,11 @@ def pencil_nullity(field: FieldSpec, b0: Mat, b1: Mat, d: int) -> int:
 def splitting_type(sp: SteinerPencil, x: Point) -> tuple:
     """Splitting degrees (eps1, eps2), ascending, on the dual line of x: the
     restricted pencil's kernel degrees plus one (the twist), so that eps1 +
-    eps2 = m - 1 and the balanced generic value of eps1 is floor((m-1)/2)."""
+    eps2 = m - 1 and the balanced generic value of eps1 is floor((m-1)/2).
+    Over F_p this is a one-point `splitting_scan`."""
+    if sp.config.field.kind == "fp":
+        eps1, eps2 = splitting_scan(sp, list(x))
+        return eps1[0], eps2[0]
     b0, b1 = restrict_to_dual_line(sp, x)
     d1, d2 = minimal_indices(sp.config.field, b0, b1, want=2)
     return d1 + 1, d2 + 1

@@ -28,11 +28,17 @@ def test_gen_field_too_small(capsys):
     assert "degenerate" in err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "jump")
     assert code == 1
     code2, _, _ = run(capsys, "jump", "--config", "/nonexistent/file.json")
     assert code2 == 1
+    # a directory where a file is read or written: each used to die with an
+    # IsADirectoryError traceback
+    for argv in (("jump", "--config", str(tmp_path)), ("jump", "--count", "8", "--out", str(tmp_path))):
+        code9, out9, err9 = run(capsys, *argv)
+        assert code9 == 1 and out9 == "", argv
+        assert err9 == f"usage error: [Errno 21] Is a directory: '{tmp_path}'\n", argv
     for command in ("jump", "gamma"):
         code3, _, err3 = run(capsys, command, "--count", "6", "--field", "q", "--seed", "1")
         assert code3 == 1
@@ -87,23 +93,35 @@ def test_config_with_a_bad_field_is_a_usage_error(tmp_path, capsys):
         assert err == f"usage error: configuration file {cfgp}: 9 is not prime\n"
 
 
-@pytest.mark.parametrize("field, points, why", [
-    ("fp:101", [["1/101", 0, 1], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "a coordinate has a denominator that is 0 in fp:101"),
-    ("q", [[1, 0, 0], ["1/0", 1, 0], [0, 0, 1], [1, 1, 1]], "a coordinate has a denominator that is 0 in q"),
-    ("fp:101", [[1, 0, 0], [0, 1], [0, 0, 1], [1, 1, 1]], "points must be a list of coordinate triples"),
-    ("fp:101", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1, 1]], "points must be a list of coordinate triples"),
-    ("fp:101", [[1, 0, 0], [0, 1, 0], [None, 0, 1], [1, 1, 1]], "coordinates must be integers or 'num/den' strings"),
-    ("fp:101", [[1.5, 0, 1], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "coordinates must be integers or 'num/den' strings"),
-    ("fp:101", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [True, 1, 1]], "coordinates must be integers or 'num/den' strings"),
-    ("q", [[0.5, 0, 1], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "coordinates must be integers or 'num/den' strings"),
+def _config(field, points):
+    return {"field": field, "points": points}
+
+
+@pytest.mark.parametrize("payload, why", [
+    (_config("fp:101", [["1/101", 0, 1], [0, 1, 0], [0, 0, 1], [1, 1, 1]]),
+     "a coordinate has a denominator that is 0 in fp:101"),
+    (_config("q", [[1, 0, 0], ["1/0", 1, 0], [0, 0, 1], [1, 1, 1]]), "a coordinate has a denominator that is 0 in q"),
+    (_config("fp:101", [[1, 0, 0], [0, 1], [0, 0, 1], [1, 1, 1]]), "points must be a list of coordinate triples"),
+    (_config("fp:101", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1, 1]]), "points must be a list of coordinate triples"),
+    (_config("fp:101", [[1, 0, 0], [0, 1, 0], [None, 0, 1], [1, 1, 1]]),
+     "coordinates must be integers or 'num/den' strings"),
+    (_config("fp:101", [[1.5, 0, 1], [0, 1, 0], [0, 0, 1], [1, 1, 1]]),
+     "coordinates must be integers or 'num/den' strings"),
+    (_config("fp:101", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [True, 1, 1]]),
+     "coordinates must be integers or 'num/den' strings"),
+    (_config("q", [[0.5, 0, 1], [0, 1, 0], [0, 0, 1], [1, 1, 1]]), "coordinates must be integers or 'num/den' strings"),
+    ([1, 2], "a configuration must be a JSON object"),
+    (_config(5, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]), "bad field tag 5 (expected 'q' or 'fp:<p>')"),
 ], ids=["zero-denominator-mod-p", "zero-denominator-over-q", "two-coordinates", "four-coordinates", "null-coordinate",
-        "float-coordinate-mod-p", "boolean-coordinate", "float-coordinate-over-q"])
-def test_config_with_a_malformed_point_is_a_usage_error(tmp_path, capsys, field, points, why):
-    # each used to die with a ZeroDivisionError, IndexError or TypeError
-    # traceback, or, for a float or a boolean, to be read as another point
+        "float-coordinate-mod-p", "boolean-coordinate", "float-coordinate-over-q", "not-an-object",
+        "field-not-a-string"])
+def test_config_with_a_malformed_point_is_a_usage_error(tmp_path, capsys, payload, why):
+    # each used to die with a ZeroDivisionError, IndexError, TypeError or
+    # AttributeError traceback, or, for a float or a boolean, to be read as
+    # another point
     cfgp = tmp_path / "malformed.json"
-    cfgp.write_text(json.dumps({"field": field, "points": points}))
-    for command in ("monoidal", "render"):
+    cfgp.write_text(json.dumps(payload))
+    for command in ("jump", "gamma", "monoidal", "pencil4", "render"):
         code, out, err = run(capsys, command, "--config", str(cfgp))
         assert code == 1, command
         assert err == f"usage error: configuration file {cfgp}: {why}\n"

@@ -1,6 +1,8 @@
+import inspect
 import json
 import os
 import random
+import re
 from array import array
 import shlex
 import shutil
@@ -13,6 +15,7 @@ from jumplines.algebra import RATIONALS, Mat, det, mat_mul, prime_field, rank
 from jumplines.forms import HForm, basis_size, hf_add, hf_eval, hf_mul, hf_zero, monomials
 from jumplines.geom import PlaneCoords, PointConfig, dual_line_basis, flat_coords, plane_points, random_config
 from jumplines.jumping import jumping_scan, rank_drops
+import jumplines.kernels
 from jumplines.kernels import (
     BACKEND,
     COMPILED_P_LIMIT,
@@ -20,7 +23,6 @@ from jumplines.kernels import (
     eval_form_many,
     form_matrix_scan,
     impl_for,
-    pencil_kernel_degrees,
     rank_mod_p,
     report_rows,
 )
@@ -65,6 +67,26 @@ def test_backend_selected_by_prime_size():
     assert impl_for(LARGE_P).BACKEND == "pure"
 
 
+def _pencil_pair(scan, b0, b1, rows, cols, p):
+    """The two smallest column minimal indices of s*B0 + t*B1 (flat int
+    lists), by the splitting scan `scan` (a backend's, or the dispatcher's)
+    at the one point (1:0:0): its dual basis is (e1, e2), so with A0 = 0,
+    A1 = B0 and A2 = B1 the restricted pencil is (B0, B1) itself."""
+    eps1, eps2 = scan([0] * (rows * cols), b0, b1, rows, cols, [1, 0, 0], p)
+    return eps1[0] - 1, eps2[0] - 1
+
+
+def test_every_dispatched_kernel_exists_on_both_backends():
+    # the names jumplines.kernels passes on to a backend module, read off its source
+    called = set(re.findall(r"(?:impl_for\(p\)|_impl)\.(\w+)\(", inspect.getsource(jumplines.kernels)))
+    assert {"rank_mod_p", "splitting_scan", "form_matrix_scan", "report_rows"} <= called
+    for impl in IMPLS.values():
+        assert all(callable(getattr(impl, name, None)) for name in called), impl.BACKEND
+    # one staircase entry per backend: the per-pencil entry is gone
+    for module in (jumplines.kernels, *IMPLS.values()):
+        assert not hasattr(module, "pencil_kernel_degrees")
+
+
 def _low_rank(rng, rows, cols, k, p):
     """A random rows x cols matrix of rank <= k, as a product (rows x k)(k x cols)."""
     u = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
@@ -94,12 +116,13 @@ def test_pencil_degrees_large_prime_low_rank():
     for _ in range(12):
         b0 = _low_rank(rng, rows, cols, 2, LARGE_P)
         b1 = _low_rank(rng, rows, cols, 2, LARGE_P)
-        degs = pencil_kernel_degrees(b0, b1, rows, cols, LARGE_P, cols - rows)
-        assert tuple(degs) == tuple(IMPLS["pure"].pencil_kernel_degrees(b0, b1, rows, cols, LARGE_P, cols - rows))
-        # the indices e must reproduce the nullities N_d = sum(max(0, d - e + 1))
+        pair = _pencil_pair(jumplines.kernels.splitting_scan, b0, b1, rows, cols, LARGE_P)
+        assert pair == _pencil_pair(IMPLS["pure"].splitting_scan, b0, b1, rows, cols, LARGE_P)
+        # all three indices e must reproduce the nullities N_d = sum(max(0, d - e + 1))
         m0, m1 = Mat(rows, cols, tuple(b0)), Mat(rows, cols, tuple(b1))
-        for d in range(max(degs) + 2):
-            assert pencil_nullity(field, m0, m1, d) == sum(max(0, d - e + 1) for e in degs)
+        degs = minimal_indices(field, m0, m1)
+        assert degs[:2] == pair
+        _check_nullities(field, m0, m1, degs)
 
 
 def test_rank_matches_generic_linalg():
@@ -200,12 +223,19 @@ def test_indices_of_kronecker_pencils(p):
         flat0, flat1 = [int(x) for x in m0.entries], [int(x) for x in m1.entries]
         want = rng.randint(0, cols - rows)
         if not _probes_find_full_rank(field, lams, n_inf):
+            with pytest.raises(ArithmeticError, match="rank deficient"):
+                minimal_indices(field, m0, m1, want)
             for impl in IMPLS.values():
                 with pytest.raises(ArithmeticError, match="rank deficient"):
-                    impl.pencil_kernel_degrees(flat0, flat1, rows, cols, p, want)
+                    _pencil_pair(impl.splitting_scan, flat0, flat1, rows, cols, p)
             continue
+        assert minimal_indices(field, m0, m1, want) == tuple(sizes[:want])
         for impl in IMPLS.values():
-            assert tuple(impl.pencil_kernel_degrees(flat0, flat1, rows, cols, p, want)) == tuple(sizes[:want])
+            if cols - rows < 2:
+                with pytest.raises(ArithmeticError, match="kernel is too small"):
+                    _pencil_pair(impl.splitting_scan, flat0, flat1, rows, cols, p)
+            else:
+                assert _pencil_pair(impl.splitting_scan, flat0, flat1, rows, cols, p) == tuple(sizes[:2])
         indices = minimal_indices(field, m0, m1)
         assert indices == tuple(sizes)
         _check_nullities(field, m0, m1, indices)
@@ -229,7 +259,8 @@ def test_indices_of_kronecker_pencils_over_q():
 @pytest.mark.parametrize("field", [prime_field(101), prime_field(COMPILED_P_LIMIT - 1), RATIONALS])
 def test_generic_rank_is_probed_before_anything_else(field):
     # B0 deficient: its rank is the first probe's, and the other probes must
-    # still run, before any other check and even when no index is wanted
+    # still run, before any other check and, in `minimal_indices`, even when
+    # no index is wanted; the kernels always want the two smallest
     rows, cols = 3, 5
     b0 = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 0]]
     b1 = [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
@@ -239,35 +270,40 @@ def test_generic_rank_is_probed_before_anything_else(field):
     for m0, m1, error in cases:
         flat0, flat1 = [v for row in m0 for v in row], [v for row in m1 for v in row]
         mats = Mat(rows, cols, tuple(map(field.of, flat0))), Mat(rows, cols, tuple(map(field.of, flat1)))
-        runs = [lambda want: minimal_indices(field, *mats, want)]
+        for want in (0, 1, 2, 3):
+            if error is not None:
+                with pytest.raises(ArithmeticError, match=error):
+                    minimal_indices(field, *mats, want)
+            elif want > cols - rows:
+                with pytest.raises(ArithmeticError, match="kernel is too small"):
+                    minimal_indices(field, *mats, want)
+            else:
+                assert minimal_indices(field, *mats, want) == (0, 2)[:want]
         if field.kind == "fp":
-            runs += [lambda want, impl=impl: impl.pencil_kernel_degrees(flat0, flat1, rows, cols, field.p, want)
-                     for impl in IMPLS.values()]
-        for run in runs:
-            for want in (0, 1, 2, 3):
+            for impl in IMPLS.values():
                 if error is not None:
                     with pytest.raises(ArithmeticError, match=error):
-                        run(want)
-                elif want > cols - rows:
-                    with pytest.raises(ArithmeticError, match="kernel is too small"):
-                        run(want)
+                        _pencil_pair(impl.splitting_scan, flat0, flat1, rows, cols, field.p)
                 else:
-                    assert tuple(run(want)) == (0, 2)[:want]
+                    assert _pencil_pair(impl.splitting_scan, flat0, flat1, rows, cols, field.p) == (0, 2)
         if error is None:
             _check_nullities(field, *mats, (0, 2))
 
 
 def test_pencil_degrees_backend_parity():
+    # both backends' staircases and the field-generic one in minimal_indices
     rng = random.Random(2)
     for _ in range(30):
         r = rng.randint(1, 5)
         c = r + 2
         b0 = [rng.randrange(101) for _ in range(r * c)]
         b1 = [rng.randrange(101) for _ in range(r * c)]
+        runs = [lambda: minimal_indices(F101, Mat(r, c, tuple(b0)), Mat(r, c, tuple(b1)), want=2)]
+        runs += [lambda impl=impl: _pencil_pair(impl.splitting_scan, b0, b1, r, c, 101) for impl in IMPLS.values()]
         outs = []
-        for impl in IMPLS.values():
+        for run in runs:
             try:
-                outs.append(tuple(impl.pencil_kernel_degrees(b0, b1, r, c, 101, 2)))
+                outs.append(run())
             except ArithmeticError as exc:
                 outs.append(str(exc))
         assert all(o == outs[0] for o in outs)
@@ -293,11 +329,12 @@ def _scan_pairs(impl, a, rows, cols, pts, p):
 
 
 def _pointwise_pair(impl, a, rows, cols, x, p):
-    """pencil_kernel_degrees of the pencil restricted to the dual line of x."""
+    """The degree pair of the pencil restricted to the dual line of x, built
+    here by `geom.dual_line_basis` and run as its own pencil (`_pencil_pair`)."""
     field = prime_field(p)
     b0, b1 = ([sum(c * m[i] for c, m in zip(form, a)) % p for i in range(rows * cols)]
               for form in dual_line_basis(field, x))
-    return tuple(int(v) for v in impl.pencil_kernel_degrees(b0, b1, rows, cols, p, 2))
+    return _pencil_pair(impl.splitting_scan, b0, b1, rows, cols, p)
 
 
 def test_splitting_scan_backend_parity():
@@ -346,7 +383,7 @@ def test_splitting_scan_falls_back_when_the_shared_member_is_deficient():
     start, good, bad = (1, 0, 1), (1, 2, 1), (1, 1, 1)
     assert rank_mod_p(k1, rows, cols, p) < rows
     for impl in IMPLS.values():
-        assert tuple(impl.pencil_kernel_degrees(k1, k0, rows, cols, p, 2)) == (1, 1)
+        assert _pencil_pair(impl.splitting_scan, k1, k0, rows, cols, p) == (1, 1)
         with pytest.raises(ArithmeticError, match="rank deficient"):
             _pointwise_pair(impl, a, rows, cols, bad, p)
         want = [_pointwise_pair(impl, a, rows, cols, x, p) for x in (start, good)]
@@ -398,7 +435,6 @@ def test_kernels_reject_a_composite_modulus():
         calls = (
             lambda: impl.report_rows(15, col, col, 0, [], [], False),
             lambda: impl.rank_mod_p([1], 1, 1, 15),
-            lambda: impl.pencil_kernel_degrees(a, a, 2, 3, 15, 1),
             lambda: impl.splitting_scan(a, a, a, 2, 3, pt, 15),
             lambda: impl.eval_form_many([1], exps, pt, 15),
             lambda: impl.form_matrix_scan([1], exps, 1, 1, pt, 15),

@@ -184,6 +184,23 @@ def test_splitting_scan_matches_pointwise_and_threads(m):
             assert jumping_order(sp, x) == generic_eps1(m) - pair[0]
 
 
+@pytest.mark.parametrize("m", [6, 8, 9, 12])
+def test_splitting_type_matches_the_generic_staircase(m):
+    # splitting_type over F_p is a one-point scan kernel call; minimal_indices
+    # runs the field-generic staircase on the pencil restricted in Python
+    # (seed 2: at m = 8 and 12 Gamma has an F_101-point, at m = 12 seed 1 none)
+    cfg = random_config(m, F101, seed=2)
+    sp = steiner_pencil(cfg)
+    pts = plane_points(101)
+    rng = random.Random(m)
+    gamma = gamma_points(cfg) if m % 2 == 0 else []
+    assert len(gamma) > 0 or m in (6, 9)
+    special = list(cfg.points) + gamma
+    for x in special + rng.sample(pts, 40):
+        d1, d2 = minimal_indices(F101, *restrict_to_dual_line(sp, x), want=2)
+        assert splitting_type(sp, x) == (d1 + 1, d2 + 1), x
+
+
 @pytest.mark.parametrize("m", [6, 8])
 def test_rational_pencil_route_end_to_end(m):
     # the staircase over Q: the points of Z jump with order n - 2, and
